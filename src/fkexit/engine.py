@@ -13,6 +13,11 @@ and its landing point is the exit point (boundary data lives on the whole
 complement).  Paths stopped by the horizon keep their running cost integral
 and are flagged truncated.
 
+A running cost that is a named constant (:class:`~fkexit.functions.Constant`
+behind a spatial or path-space adapter) is integrated in closed form,
+c (1 - exp(-lam t)) / lam up to the stop time t, instead of step by step; the
+simulated paths and their random draws are the same either way.
+
 Deterministic specs short-circuit to a single exact trajectory evaluated with
 the path operators and Gauss quadrature of the running cost.
 """
@@ -25,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidStep
+from .functions import Constant, PathSpaceCost, SpatialCost
 from .geometry import Ball, Box, Cylinder, Domain
 from .levy import BrownianNoise, ProcessSpec, StableNoise, simulate_path, step_increments
 from .paths import evaluate, exit_time
@@ -173,12 +180,24 @@ def _state_independent(drift):
     return False
 
 
+def _constant_cost(cost_fn):
+    """The value c of a running cost that is constant in time and space, else None."""
+    if isinstance(cost_fn, (SpatialCost, PathSpaceCost)) and isinstance(cost_fn.fn, Constant):
+        return float(cost_fn.fn.value)
+    return None
+
+
 def _run_chunk(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, stop, bridge):
-    if m > 1 and _state_independent(spec.drift):
-        return _run_chunk_blocked(spec, domain, x0, h, n_steps, gen, m,
-                                  lam, cost_fn, t_offset, stop, bridge)
-    return _run_chunk_loop(spec, domain, x0, h, n_steps, gen, m,
-                           lam, cost_fn, t_offset, stop, bridge)
+    c = _constant_cost(cost_fn)
+    if c is not None:
+        cost_fn = None
+    kernel = _run_chunk_blocked if m > 1 and _state_independent(spec.drift) else _run_chunk_loop
+    res = kernel(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, stop, bridge)
+    if c is not None:
+        # integral of c exp(-lam s) over [0, t_stop], t_stop the exit or the horizon
+        t_stop = np.where(res.truncated, res.steps * h, res.zeta)
+        res.cost = c * (-np.expm1(-lam * t_stop)) / lam if lam != 0.0 else c * t_stop
+    return res
 
 
 def _run_chunk_loop(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, stop, bridge):
@@ -293,20 +312,23 @@ def _block_increments(spec, h, gen, na, nb):
     """(na, nb, d) noise increments and (na, nb) jump marks for nb steps."""
     from .levy import JUMP_MARK_FACTOR, sample_one_sided_stable
 
-    d = spec.d
-    d_noise = d - spec.noise_offset
     noise = spec.noise
-    out = np.zeros((na, nb, d))
-    jump = np.zeros((na, nb), dtype=bool)
-    if isinstance(noise, BrownianNoise) and noise.eps > 0:
-        z = gen.standard_normal((na, nb, d_noise))
-        out[:, :, spec.noise_offset:] = noise.eps * math.sqrt(h) * z
-    elif isinstance(noise, StableNoise) and noise.sigma > 0:
+    shape = (na, nb, spec.d - spec.noise_offset)
+    # only noisy specs reach the kernels: eps > 0 or sigma > 0
+    if isinstance(noise, BrownianNoise):
+        incr = gen.standard_normal(shape)
+        incr *= noise.eps * math.sqrt(h)
+        jump = np.zeros((na, nb), dtype=bool)
+    else:
         t = sample_one_sided_stable(noise.alpha / 2.0, gen, size=na * nb).reshape(na, nb)
-        z = gen.standard_normal((na, nb, d_noise))
-        xi = np.sqrt(2.0 * t)[:, :, None] * z
-        out[:, :, spec.noise_offset:] = noise.sigma * h ** (1.0 / noise.alpha) * xi
-        jump = np.linalg.norm(xi, axis=2) > JUMP_MARK_FACTOR
+        incr = np.sqrt(2.0 * t)[:, :, None] * gen.standard_normal(shape)
+        jump = np.linalg.norm(incr, axis=2) > JUMP_MARK_FACTOR
+        incr *= noise.sigma * h ** (1.0 / noise.alpha)
+    if spec.noise_offset == 0:
+        return incr, jump
+    # the leading (clock) coordinates carry no noise
+    out = np.zeros((na, nb, spec.d))
+    out[:, :, spec.noise_offset:] = incr
     return out, jump
 
 
@@ -326,6 +348,53 @@ def _member_block(domain, X, mode):
     na, nbp, d = X.shape
     flat = X[:, 1:].reshape(-1, d)
     return domain.contains(flat, mode).reshape(na, nbp - 1)
+
+
+def _first_outside(inside):
+    """Per row of an (na, nb) membership mask, the first step outside, or nb."""
+    first = inside.argmin(axis=1)
+    first[inside[np.arange(len(first)), first]] = inside.shape[1]
+    return first
+
+
+def _bridge_scan(X, domain, half_var, gen, exit_step, bridge_exit, face_axis, face_val):
+    """Brownian-bridge face crossings of the block's steps, in place on the row arrays.
+
+    Step j of a row bridges a face at distances d0, d1 from its knots with
+    probability exp(-d0 d1 / half_var), i.e. when z = d0 d1 / half_var < e
+    for e ~ Exp(1).  Exponentials are drawn, in C order over (row, step),
+    only for the candidates z < 45 (miss probability < 3e-20), one face after
+    the other; a row's first firing step before its exit step becomes its
+    exit step.
+    """
+    na, nbp, d = X.shape
+    nb = nbp - 1
+    knots = X.reshape(-1, d)  # step j of row r starts at knot r (nb + 1) + j
+    # z < 45 needs a knot within sqrt(45 half_var) of the face or beyond it
+    # (both distances exceed the smaller one, or their signs differ); the
+    # margins cover rounding, so the knot test keeps every candidate
+    reach = math.sqrt(45.0 * half_var) * (1.0 + 1e-9)
+    for i in range(d):
+        lo, hi = domain.lo[i], domain.hi[i]
+        for face, near in ((lo, X[:, :, i] < lo + reach + 4.0 * np.spacing(abs(lo) + reach)),
+                           (hi, X[:, :, i] > hi - reach - 4.0 * np.spacing(abs(hi) + reach))):
+            step = np.flatnonzero(near[:, :-1] | near[:, 1:])
+            k = step + step // nb
+            z = (knots[k, i] - face) * (knots[k + 1, i] - face) / half_var
+            cand = z < 45.0
+            ncand = int(np.count_nonzero(cand))
+            if not ncand:
+                continue
+            step = step[cand][z[cand] < gen.standard_exponential(ncand)]
+            # steps ascend, so each row's first entry is its earliest firing step
+            rows, first = np.unique(step // nb, return_index=True)
+            j = step[first] - rows * nb
+            better = j < exit_step[rows]
+            rows, j = rows[better], j[better]
+            exit_step[rows] = j
+            bridge_exit[rows] = True
+            face_axis[rows] = i
+            face_val[rows] = face
 
 
 def _run_chunk_blocked(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, stop, bridge):
@@ -360,35 +429,13 @@ def _run_chunk_blocked(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_off
         np.cumsum(incr, axis=1, out=incr)
         X[:, 1:] = pos[:, None, :] + incr
 
-        out = ~_member_block(domain, X, stop_mode)
-        first = np.where(out.any(axis=1), out.argmax(axis=1), nb)
-
-        exit_step = first.copy()
+        exit_step = _first_outside(_member_block(domain, X, stop_mode))
         bridge_exit = np.zeros(na, bool)
         bridge_face_axis = np.zeros(na, dtype=int)
         bridge_face_val = np.zeros(na)
         if use_bridge:
-            # a step bridges a face when u < exp(-2 d0 d1 / var), i.e. when
-            # {d0 d1 < var e / 2} for e ~ Exp(1); exponentials are drawn only
-            # where the event is not hopeless (z < 45, miss prob < 3e-20)
-            half_var = 0.5 * spec.noise.eps ** 2 * h
-            jgrid = np.arange(nb)[None, :]
-            for i in range(d):
-                for j, face in enumerate((domain.lo[i], domain.hi[i])):
-                    z = (X[:, :-1, i] - face) * (X[:, 1:, i] - face) / half_var
-                    cand = z < 45.0
-                    fire = np.zeros((na, nb), dtype=bool)
-                    ncand = int(np.count_nonzero(cand))
-                    if ncand:
-                        fire[cand] = z[cand] < gen.standard_exponential(ncand)
-                    fire &= jgrid < exit_step[:, None]
-                    hasf = fire.any(axis=1)
-                    jb = np.where(hasf, fire.argmax(axis=1), nb)
-                    better = jb < exit_step
-                    exit_step = np.where(better, jb, exit_step)
-                    bridge_exit = np.where(better, True, bridge_exit)
-                    bridge_face_axis = np.where(better, i, bridge_face_axis)
-                    bridge_face_val = np.where(better, face, bridge_face_val)
+            _bridge_scan(X, domain, 0.5 * spec.noise.eps ** 2 * h, gen,
+                         exit_step, bridge_exit, bridge_face_axis, bridge_face_val)
 
         exited = exit_step < nb
         rows = np.nonzero(exited)[0]
@@ -432,8 +479,7 @@ def _run_chunk_blocked(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_off
             # jump dynamics or on a cylinder lid; Brownian segments in a convex
             # domain touch the boundary exactly when they cross it
             if stable or isinstance(domain, Cylinder):
-                out_open = ~_member_block(domain, X, "open")
-                first_open = np.where(out_open.any(axis=1), out_open.argmax(axis=1), nb)
+                first_open = _first_outside(_member_block(domain, X, "open"))
             else:
                 first_open = np.full(na, nb)
             touch = nf & (first_open < exit_step)
@@ -555,9 +601,15 @@ def _quadrature_cost(path, cost_fn, lam, t_offset, t_stop):
 # Public entry points.
 
 
+def _check_step(h):
+    if not (math.isfinite(h) and h > 0):
+        raise InvalidStep(f"step h={h} must be a finite positive number, e.g. 1e-3")
+
+
 def run_single(spec, domain, x0, h, horizon, stream: RngStream,
                lam=0.0, cost_fn=None, t_offset=0.0, stop="closure", bridge=False):
     """One trajectory, bit-identical to ``simulate_path`` with the same stream."""
+    _check_step(h)
     if spec.is_deterministic:
         r = _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, t_offset, stop)
         return _broadcast_result(r, 1, spec.d)
@@ -585,6 +637,9 @@ def run_batch(spec: ProcessSpec, domain: Domain, x0, h, horizon, n, seed,
               lam=0.0, cost_fn=None, t_offset=0.0, stop="closure", bridge=False,
               workers=1) -> BatchResult:
     """n first-exit trajectories with the fixed chunk/stream contract."""
+    _check_step(h)
+    if n < 1:
+        raise ValueError(f"sample size n={n} must be a positive integer")
     x0 = np.atleast_1d(np.asarray(x0, float))
     if spec.is_deterministic:
         r = _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, t_offset, stop)
