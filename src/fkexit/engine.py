@@ -5,6 +5,9 @@ draws from the Philox stream (seed, c).  The chunk size is part of the seed
 contract: results are bit-identical for any worker count because workers only
 split over chunks, never inside one.
 
+One driver advances a chunk in blocks of steps: :data:`BLOCK_STEPS` at a time
+for a state-independent drift in a chunk of several paths, one step at a time
+otherwise (a single trajectory then matches ``simulate_path`` knot for knot).
 Within a step, drift/Brownian segments are treated as linear and their
 boundary crossing is solved in closed form per shape face; an optional
 Brownian-bridge test on axis-aligned boxes catches crossings that both
@@ -33,7 +36,8 @@ import numpy as np
 from .errors import InvalidStep
 from .functions import Constant, PathSpaceCost, SpatialCost
 from .geometry import Ball, Box, Cylinder, Domain
-from .levy import BrownianNoise, ProcessSpec, StableNoise, simulate_path, step_increments
+from .levy import (BrownianNoise, ConstantDrift, ProcessSpec, StableNoise, TimeAugmentedDrift,
+                   noise_increments, simulate_path)
 from .paths import evaluate, exit_time
 from .rng import RngStream
 
@@ -162,17 +166,18 @@ def _disc_trapezoid(l0, l1, t0, dt, lam):
 # ---------------------------------------------------------------------------
 # Stochastic chunk simulation.
 #
-# Two in-chunk layouts exist: a per-step loop for state-dependent drift (and
-# for single trajectories, where it consumes the stream exactly like
-# ``simulate_path``), and a blocked layout for state-independent drift that
-# draws BLOCK_STEPS increments at once and scans cumulative sums.  The layout
-# choice is a pure function of the spec and the batch size, so it is part of
-# the reproducibility contract.
+# One driver advances the live rows of a chunk a block of nb steps at a time:
+# it draws the block's increments, builds the knots by cumulative sums, finds
+# each row's first step out of the domain and resolves the exit within it.
+# The block length is BLOCK_STEPS when the drift is state-independent and the
+# chunk holds more than one path, and 1 otherwise; a block of one step
+# evaluates the drift at each row's current position, and a single
+# trajectory then consumes its stream exactly like ``simulate_path``.  The
+# block length is a pure function of the spec and the chunk size, so it is
+# part of the reproducibility contract.
 
 
 def _state_independent(drift):
-    from .levy import ConstantDrift, TimeAugmentedDrift
-
     if isinstance(drift, ConstantDrift):
         return True
     if isinstance(drift, TimeAugmentedDrift):
@@ -191,145 +196,12 @@ def _run_chunk(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, sto
     c = _constant_cost(cost_fn)
     if c is not None:
         cost_fn = None
-    kernel = _run_chunk_blocked if m > 1 and _state_independent(spec.drift) else _run_chunk_loop
-    res = kernel(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, stop, bridge)
+    res = _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, stop, bridge)
     if c is not None:
         # integral of c exp(-lam s) over [0, t_stop], t_stop the exit or the horizon
         t_stop = np.where(res.truncated, res.steps * h, res.zeta)
         res.cost = c * (-np.expm1(-lam * t_stop)) / lam if lam != 0.0 else c * t_stop
     return res
-
-
-def _run_chunk_loop(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, stop, bridge):
-    d = spec.d
-    pos = np.tile(np.asarray(x0, float), (m, 1))
-    idx = np.arange(m)
-    zeta = np.full(m, np.inf)
-    zhat = np.full(m, np.inf)
-    pt = np.full((m, d), np.nan)
-    pt_hat = np.full((m, d), np.nan)
-    via = np.zeros(m, bool)
-    steps = np.zeros(m, dtype=int)
-    cost = np.zeros(m)
-    open_found = np.zeros(m, bool)
-
-    stable = isinstance(spec.noise, StableNoise) and spec.noise.sigma > 0
-    stop_mode = "open" if stop == "open" else "closure"
-    use_bridge = (bridge and isinstance(domain, Box)
-                  and isinstance(spec.noise, BrownianNoise) and spec.noise.eps > 0
-                  and spec.noise_offset == 0)
-
-    for k in range(n_steps):
-        if idx.size == 0:
-            break
-        t0 = k * h
-        na = idx.size
-        pre = pos + spec.drift(pos) * h
-        incr, jmask = step_increments(spec, h, gen, na)
-        new = pre + incr
-        if use_bridge:
-            u_bridge = gen.uniform(0.0, 1.0, size=(na, 2 * d))
-
-        exited = np.zeros(na, bool)
-        tau = np.full(na, np.inf)
-        xex = np.empty((na, d))
-        jump_exit = np.zeros(na, bool)
-
-        if stable:
-            if isinstance(domain, Cylinder) and spec.noise_offset >= 1:
-                # the clock coordinate is deterministic, so its lid crossing
-                # is refined exactly; spatial crossings stay knot-level
-                lid = new[:, 0] > domain.T
-                if lid.any():
-                    sT = (domain.T - pos[lid, 0]) / h
-                    xl = pos[lid] + (pre[lid] - pos[lid]) * sT[:, None]
-                    xl[:, 0] = domain.T
-                    tau[lid] = t0 + sT * h
-                    xex[lid] = xl
-                    exited[lid] = True
-            out = ~domain.contains(new, stop_mode) & ~exited
-            tau[out] = t0 + h
-            xex[out] = new[out]
-            jump_exit = out & jmask
-            exited |= out
-        else:
-            out = ~domain.contains(new, stop_mode)
-            if out.any():
-                s, xc = segment_crossing(domain, pos[out], new[out])
-                tau[out] = t0 + s * h
-                xex[out] = xc
-                exited = out.copy()
-            if use_bridge:
-                surv = ~exited
-                if surv.any():
-                    crossed, xb = _bridge_crossings(
-                        domain, spec.noise.eps, h, pos, new, u_bridge, surv)
-                    tau[crossed] = t0 + 0.5 * h
-                    xex[crossed] = xb[crossed]
-                    exited |= crossed
-
-        # passive open-exit tracking while stopping on the closure
-        if stop == "closure":
-            touch = ~domain.contains(new, "open") & ~open_found[idx] & ~exited
-            if touch.any():
-                g = idx[touch]
-                zhat[g] = t0 + h
-                pt_hat[g] = new[touch]
-                open_found[g] = True
-            newly = exited & ~open_found[idx]
-            if newly.any():
-                g = idx[newly]
-                zhat[g] = tau[newly]
-                pt_hat[g] = xex[newly]
-                open_found[g] = True
-
-        if cost_fn is not None:
-            l_end = np.where(exited[:, None], xex, new)
-            dt = np.where(exited, tau - t0, h)
-            l0v = cost_fn(t_offset + t0, pos)
-            l1v = cost_fn(t_offset + t0 + dt, l_end)
-            cost[idx] += _disc_trapezoid(l0v, l1v, t0, dt, lam)
-
-        if exited.any():
-            g = idx[exited]
-            zeta[g] = tau[exited]
-            pt[g] = xex[exited]
-            via[g] = jump_exit[exited]
-            steps[g] = k + 1
-            if stop == "open":
-                zhat[g] = tau[exited]
-                pt_hat[g] = xex[exited]
-        keep = ~exited
-        idx = idx[keep]
-        pos = new[keep]
-
-    truncated = np.isinf(zeta)
-    steps[truncated] = n_steps
-    return BatchResult(zeta, zhat, pt, pt_hat, via, truncated, steps, cost)
-
-
-def _block_increments(spec, h, gen, na, nb):
-    """(na, nb, d) noise increments and (na, nb) jump marks for nb steps."""
-    from .levy import JUMP_MARK_FACTOR, sample_one_sided_stable
-
-    noise = spec.noise
-    shape = (na, nb, spec.d - spec.noise_offset)
-    # only noisy specs reach the kernels: eps > 0 or sigma > 0
-    if isinstance(noise, BrownianNoise):
-        incr = gen.standard_normal(shape)
-        incr *= noise.eps * math.sqrt(h)
-        jump = np.zeros((na, nb), dtype=bool)
-    else:
-        t = sample_one_sided_stable(noise.alpha / 2.0, gen, size=na * nb).reshape(na, nb)
-        incr = np.sqrt(2.0 * t)[:, :, None] * gen.standard_normal(shape)
-        jump = np.linalg.norm(incr, axis=2) > JUMP_MARK_FACTOR
-        incr *= noise.sigma * h ** (1.0 / noise.alpha)
-    if spec.noise_offset == 0:
-        return incr, jump
-    # the leading (clock) coordinates carry no noise
-    out = np.zeros((na, nb, spec.d))
-    out[:, :, spec.noise_offset:] = incr
-    return out, jump
 
 
 def _member_block(domain, X, mode):
@@ -397,9 +269,11 @@ def _bridge_scan(X, domain, half_var, gen, exit_step, bridge_exit, face_axis, fa
             face_val[rows] = face
 
 
-def _run_chunk_blocked(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, stop, bridge):
+def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, stop, bridge):
     d = spec.d
-    v = spec.drift(np.zeros((1, d)))[0]
+    # a state-independent drift step is computed once; otherwise per row and step
+    vh = spec.drift(np.zeros((1, d)))[0] * h if _state_independent(spec.drift) else None
+    block = BLOCK_STEPS if m > 1 and vh is not None else 1
     pos = np.tile(np.asarray(x0, float), (m, 1))
     idx = np.arange(m)
     zeta = np.full(m, np.inf)
@@ -416,14 +290,17 @@ def _run_chunk_blocked(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_off
     use_bridge = (bridge and isinstance(domain, Box)
                   and isinstance(spec.noise, BrownianNoise) and spec.noise.eps > 0
                   and spec.noise_offset == 0)
+    # the clock coordinate is deterministic, so a stable path's lid crossing
+    # is refined exactly; its spatial crossings stay knot-level
     lid_refine = stable and isinstance(domain, Cylinder) and spec.noise_offset >= 1
 
     k0 = 0
     while idx.size and k0 < n_steps:
-        nb = min(BLOCK_STEPS, n_steps - k0)
+        nb = min(block, n_steps - k0)
         na = idx.size
-        incr, jmask = _block_increments(spec, h, gen, na, nb)
-        incr += v * h
+        bh = vh if vh is not None else spec.drift(pos) * h
+        incr, jmask = noise_increments(spec, h, gen, na, nb)
+        incr += bh[..., None, :]
         X = np.empty((na, nb + 1, d))
         X[:, 0] = pos
         np.cumsum(incr, axis=1, out=incr)
@@ -454,22 +331,22 @@ def _run_chunk_blocked(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_off
                     lid = b[:, 0] > domain.T
                     if lid.any():
                         r2 = rows[lid]
-                        sT = (domain.T - X[r2, exit_step[r2], 0]) / h
-                        xl = X[r2, exit_step[r2]] + v * h * sT[:, None]
+                        sT = (domain.T - a[lid, 0]) / h
+                        xl = a[lid] + np.broadcast_to(bh, (na, d))[r2] * sT[:, None]
                         xl[:, 0] = domain.T
-                        tau[r2] = (k0 + exit_step[r2] + sT) * h
+                        tau[r2] = (k0 + je[lid] + sT) * h
                         xex[r2] = xl
                         jump_exit[r2] = False
             else:
-                br = rows[bridge_exit[rows]]
-                kn = rows[~bridge_exit[rows]]
+                on_bridge = bridge_exit[rows]
+                kn, br = rows[~on_bridge], rows[on_bridge]
                 if kn.size:
-                    s, xc = segment_crossing(domain, X[kn, exit_step[kn]], X[kn, exit_step[kn] + 1])
-                    tau[kn] = (k0 + exit_step[kn] + s) * h
+                    s, xc = segment_crossing(domain, a[~on_bridge], b[~on_bridge])
+                    tau[kn] = (k0 + je[~on_bridge] + s) * h
                     xex[kn] = xc
                 if br.size:
-                    tau[br] = (k0 + exit_step[br] + 0.5) * h
-                    mid = 0.5 * (X[br, exit_step[br]] + X[br, exit_step[br] + 1])
+                    tau[br] = (k0 + je[on_bridge] + 0.5) * h
+                    mid = 0.5 * (a[on_bridge] + b[on_bridge])
                     mid[np.arange(br.size), bridge_face_axis[br]] = bridge_face_val[br]
                     xex[br] = mid
 
@@ -532,27 +409,6 @@ def _run_chunk_blocked(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_off
     return BatchResult(zeta, zhat, pt, pt_hat, via, truncated, steps, cost)
 
 
-def _bridge_crossings(domain, eps, h, pos, new, u, surv):
-    """Brownian-bridge face crossings on a box for segments with both ends inside."""
-    na, d = pos.shape
-    var = eps * eps * h
-    crossed = np.zeros(na, bool)
-    best_p = np.zeros(na)
-    xb = new.copy()
-    for i in range(d):
-        for j, face in enumerate((domain.lo[i], domain.hi[i])):
-            d0 = np.abs(pos[:, i] - face)
-            d1 = np.abs(new[:, i] - face)
-            p = np.exp(-2.0 * d0 * d1 / var)
-            fire = surv & (u[:, 2 * i + j] < p) & (p > best_p)
-            if fire.any():
-                crossed |= fire
-                best_p = np.where(fire, p, best_p)
-                xb[fire] = 0.5 * (pos[fire] + new[fire])
-                xb[fire, i] = face
-    return crossed, xb
-
-
 # ---------------------------------------------------------------------------
 # Deterministic short-circuit.
 
@@ -569,8 +425,7 @@ def _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, t_offset, 
     point_hat = evaluate(path, zh) if zh < math.inf else np.full(spec.d, np.nan)
     zeta = z if not truncated else math.inf
     return dict(zeta=zeta, zeta_hat=zh, point=point, point_hat=point_hat,
-                truncated=truncated, cost=c,
-                steps=int(math.ceil(t_stop / h)) if h > 0 else 0)
+                truncated=truncated, cost=c, steps=int(math.ceil(t_stop / h)))
 
 
 def _quadrature_cost(path, cost_fn, lam, t_offset, t_stop):
@@ -601,15 +456,18 @@ def _quadrature_cost(path, cost_fn, lam, t_offset, t_stop):
 # Public entry points.
 
 
-def _check_step(h):
+def check_inputs(h, n=1):
+    """Reject a step h that is not finite and positive, or a sample size n below 1."""
     if not (math.isfinite(h) and h > 0):
         raise InvalidStep(f"step h={h} must be a finite positive number, e.g. 1e-3")
+    if n < 1:
+        raise ValueError(f"sample size n={n} must be a positive integer")
 
 
 def run_single(spec, domain, x0, h, horizon, stream: RngStream,
                lam=0.0, cost_fn=None, t_offset=0.0, stop="closure", bridge=False):
     """One trajectory, bit-identical to ``simulate_path`` with the same stream."""
-    _check_step(h)
+    check_inputs(h)
     if spec.is_deterministic:
         r = _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, t_offset, stop)
         return _broadcast_result(r, 1, spec.d)
@@ -637,9 +495,7 @@ def run_batch(spec: ProcessSpec, domain: Domain, x0, h, horizon, n, seed,
               lam=0.0, cost_fn=None, t_offset=0.0, stop="closure", bridge=False,
               workers=1) -> BatchResult:
     """n first-exit trajectories with the fixed chunk/stream contract."""
-    _check_step(h)
-    if n < 1:
-        raise ValueError(f"sample size n={n} must be a positive integer")
+    check_inputs(h, n)
     x0 = np.atleast_1d(np.asarray(x0, float))
     if spec.is_deterministic:
         r = _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, t_offset, stop)

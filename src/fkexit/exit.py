@@ -18,10 +18,10 @@ import numpy as np
 
 from .engine import run_batch, run_single
 from .errors import InvalidStart
-from .feynman_kac import MCEstimate, _effective_seed
+from .feynman_kac import MCEstimate
 from .geometry import Domain
 from .levy import ProcessSpec
-from .rng import as_stream
+from .rng import as_stream, effective_seed
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def exit_coincidence(spec: ProcessSpec, domain: Domain, x0, h, horizon, n, rng,
     step error).  Binomial standard error; truncation propagates through
     ``truncated_fraction``.
     """
-    seed = _effective_seed(rng)
+    seed = effective_seed(rng)
     x0 = np.atleast_1d(np.asarray(x0, float))
     if not domain.contains(x0, "closure"):
         raise InvalidStart(f"x0={x0.tolist()} is outside the closed domain")
@@ -94,7 +94,7 @@ def exit_point_avoidance(spec: ProcessSpec, domain: Domain, x0, region: Domain,
     boundary sets: a valid neighborhood is one this probability vanishes on
     for every start in the closed domain.
     """
-    seed = _effective_seed(rng)
+    seed = effective_seed(rng)
     res = run_batch(spec, domain, np.atleast_1d(np.asarray(x0, float)), h, horizon, n, seed,
                     stop="open", bridge=True, workers=workers)
     ok = np.isfinite(res.zeta)

@@ -24,12 +24,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import run_batch
+from .engine import check_inputs, run_batch
 from .errors import DegenerateP, FkexitError, InvalidStart
 from .functions import ExpDistance, PathSpaceCost, SpatialCost, TimeScaledCost, sup_on_box
 from .geometry import Cylinder, Domain
 from .levy import ProcessSpec, lift_time
-from .rng import as_stream, derive_seed
+from .rng import derive_seed, effective_seed
 
 DEFAULT_HORIZON_DISCOUNTS = 20.0
 
@@ -70,13 +70,6 @@ class DirichletProblem:
         return DEFAULT_HORIZON_DISCOUNTS / self.discount
 
 
-def _effective_seed(rng):
-    stream = as_stream(rng)
-    if stream.stream_id == 0:
-        return stream.seed
-    return derive_seed(stream.seed, stream.stream_id)
-
-
 def _exact_estimate(value, n, seed):
     return MCEstimate(float(value), 0.0, n, seed, 0.0)
 
@@ -94,7 +87,8 @@ def estimate_v(problem: DirichletProblem, spec: ProcessSpec, x0, h, n, rng,
     A start outside the closed domain exits immediately, so the estimate is
     exactly g(x0) with zero error.
     """
-    seed = _effective_seed(rng)
+    check_inputs(h, n)
+    seed = effective_seed(rng)
     x0 = np.atleast_1d(np.asarray(x0, float))
     lam = problem.discount
     g = problem.boundary_data
@@ -134,7 +128,8 @@ def estimate_discounted_exit(problem: DirichletProblem, spec: ProcessSpec, x0, h
                              horizon=None, workers=1) -> MCEstimate:
     """Mean of exp(-lam zeta); truncated paths contribute the upper bound
     exp(-lam horizon) and are flagged in ``truncated_fraction``."""
-    seed = _effective_seed(rng)
+    check_inputs(h, n)
+    seed = effective_seed(rng)
     x0 = np.atleast_1d(np.asarray(x0, float))
     lam = problem.discount
     if not problem.domain.contains(x0, "closure"):
@@ -164,7 +159,8 @@ def estimate_v_nonstationary(problem: DirichletProblem, spec: ProcessSpec, t, x,
     """
     if not isinstance(problem.domain, Cylinder):
         raise InvalidStart("non-stationary estimation needs a cylinder domain")
-    seed = _effective_seed(rng)
+    check_inputs(h, n)
+    seed = effective_seed(rng)
     cyl = problem.domain
     T = cyl.T
     t = float(t)
@@ -189,9 +185,7 @@ def estimate_v_nonstationary(problem: DirichletProblem, spec: ProcessSpec, t, x,
     else:
         raise ValueError(f"unknown route {route!r}")
     capped = res.truncated | (np.nan_to_num(res.point[:, 0], nan=-1.0) >= T - 1e-9)
-    mean = float(np.sum(F) / n)
-    se = float(np.std(F, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return MCEstimate(mean, se, n, seed, float(np.mean(capped)))
+    return _summarize(F, n, seed, capped)
 
 
 @dataclass(frozen=True)
@@ -215,7 +209,7 @@ def attainment_witness(problem: DirichletProblem, spec: ProcessSpec, x0, h, n, r
     is statistically indistinguishable from 0 or 1 the construction is vacuous
     and :class:`DegenerateP` is raised (at an instantly-exiting point p = 1).
     """
-    seed = _effective_seed(rng)
+    seed = effective_seed(rng)
     x0 = np.atleast_1d(np.asarray(x0, float))
     p = estimate_discounted_exit(problem, spec, x0, h, n, derive_seed(seed, "exit-moment"),
                                  horizon=horizon, workers=workers)
@@ -233,7 +227,7 @@ def attainment_witness(problem: DirichletProblem, spec: ProcessSpec, x0, h, n, r
 
 def evaluate_grid(problem, spec, points, h, n, rng, horizon=None, workers=1):
     """estimate_v over a list of points; rows of (coords, mean, se, n, truncated)."""
-    seed = _effective_seed(rng)
+    seed = effective_seed(rng)
     rows = []
     for i, x in enumerate(points):
         est = estimate_v(problem, spec, x, h, n, derive_seed(seed, "grid", i),

@@ -139,20 +139,6 @@ class TimeAugmentedDrift(DriftField):
         return {"name": "time-augmented", "base": self.base.to_config()}
 
 
-@dataclass(frozen=True)
-class CallableDrift(DriftField):
-    """Escape hatch for custom coefficients; not serializable."""
-
-    fn: callable
-    name = "custom"
-
-    def __call__(self, x):
-        x = np.asarray(x, float)
-        if x.ndim == 1:
-            return np.asarray(self.fn(x), float)
-        return np.asarray([self.fn(p) for p in x], float)
-
-
 def drift_from_config(cfg: dict) -> DriftField:
     name = cfg.get("name")
     if name == "constant":
@@ -326,31 +312,30 @@ def sample_isotropic_stable(alpha, d, rng, size=None):
     return x[0] if size is None else x
 
 
-def step_increments(spec: ProcessSpec, h, gen, m):
-    """Noise increments for m simultaneous Euler steps; (m, d) array plus jump mask.
+def noise_increments(spec: ProcessSpec, h, gen, na, nb):
+    """(na, nb, d) noise increments of nb Euler steps for na paths, and (na, nb) jump marks.
 
-    Draw order per step is fixed (angle, exponential, normals) so that a
-    single-trajectory stream and a batched stream produce identical paths.
+    For a noisy spec only (eps > 0 or sigma > 0).  Stable draws come in the
+    order of :func:`sample_isotropic_stable` (angles, exponentials, normals),
+    so one call with na = nb = 1 per step is the single-path stream.
     """
-    d_noise = spec.d - spec.noise_offset
     noise = spec.noise
-    out = np.zeros((m, spec.d))
-    jump = np.zeros(m, dtype=bool)
-    if isinstance(noise, NoNoise) or (isinstance(noise, BrownianNoise) and noise.eps == 0.0):
-        return out, jump
+    shape = (na, nb, spec.d - spec.noise_offset)
     if isinstance(noise, BrownianNoise):
-        z = gen.standard_normal((m, d_noise))
-        out[:, spec.noise_offset:] = noise.eps * math.sqrt(h) * z
-        return out, jump
-    if isinstance(noise, StableNoise):
-        if noise.sigma == 0.0:
-            return out, jump
-        xi = sample_isotropic_stable(noise.alpha, d_noise, gen, size=m)
-        scale = noise.sigma * h ** (1.0 / noise.alpha)
-        out[:, spec.noise_offset:] = scale * xi
-        jump = np.linalg.norm(xi, axis=1) > JUMP_MARK_FACTOR
-        return out, jump
-    raise TypeError(f"unknown noise {noise!r}")
+        incr = gen.standard_normal(shape)
+        incr *= noise.eps * math.sqrt(h)
+        jump = np.zeros((na, nb), dtype=bool)
+    else:
+        t = sample_one_sided_stable(noise.alpha / 2.0, gen, size=na * nb).reshape(na, nb)
+        incr = np.sqrt(2.0 * t)[:, :, None] * gen.standard_normal(shape)
+        jump = np.linalg.norm(incr, axis=2) > JUMP_MARK_FACTOR
+        incr *= noise.sigma * h ** (1.0 / noise.alpha)
+    if spec.noise_offset == 0:
+        return incr, jump
+    # the leading (clock) coordinates carry no noise
+    out = np.zeros((na, nb, spec.d))
+    out[:, :, spec.noise_offset:] = incr
+    return out, jump
 
 
 def simulate_path(spec: ProcessSpec, x0, h, horizon, rng) -> CadlagPath:
@@ -384,14 +369,15 @@ def simulate_path(spec: ProcessSpec, x0, h, horizon, rng) -> CadlagPath:
             points[k + 1] = _rk4_step(spec.drift, points[k], h)
         return linear_path(times, points)
 
+    # the engine's knot formula and draw order, so its exits match this path
     gen = as_stream(rng).generator()
     for k in range(n_steps):
-        x = points[k]
-        pre = x + spec.drift(x) * h
-        incr, jump = step_increments(spec, h, gen, 1)
-        points[k + 1] = pre + incr[0]
-        if jump[0]:
-            jumps[k + 1] = pre.copy()
+        x = points[k:k + 1]
+        bh = spec.drift(x) * h
+        incr, jump = noise_increments(spec, h, gen, 1, 1)
+        points[k + 1] = x[0] + (bh[0] + incr[0, 0])
+        if jump[0, 0]:
+            jumps[k + 1] = x[0] + bh[0]
     return linear_path(times, points, jumps)
 
 

@@ -512,15 +512,6 @@ def linear_G(problem, spec):
     return lambda phi, x: G_value(problem, spec, phi, x)
 
 
-def time_space_G(spec_spatial, running_cost):
-    """Non-stationary linear form -(d_t + L_x) phi - l at y = (t, x)."""
-    def G(phi, y):
-        y = np.atleast_1d(np.asarray(y, float))
-        ell = float(np.asarray(running_cost(y.reshape(1, -1)), float)[0])
-        return -time_space_generator(spec_spatial, phi, y[0], y[1:]) - ell
-    return G
-
-
 def hjb_G(alpha, gamma=1.0):
     """-d_t phi - |grad_x phi|^gamma + (-Lap_x)^(alpha/2) phi + 1 at y = (t, x)."""
     def G(phi, y):

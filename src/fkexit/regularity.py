@@ -27,7 +27,7 @@ from .engine import run_batch
 from .errors import NoConeData, StepTooCoarse
 from .geometry import Domain
 from .levy import ProcessSpec, StableNoise
-from .rng import as_stream, derive_seed
+from .rng import as_stream, derive_seed, effective_seed
 
 DEFAULT_WINDOWS = (0.1, 0.01, 0.001)
 
@@ -70,9 +70,7 @@ def probe_regularity(spec: ProcessSpec, domain: Domain, x, windows=DEFAULT_WINDO
         h = windows[-1] / 100.0
     if h > windows[-1] / 10.0:
         raise StepTooCoarse(f"h={h} too coarse for window {windows[-1]}; need h <= window/10")
-    stream = as_stream(rng)
-    seed = stream.seed if stream.stream_id == 0 else derive_seed(stream.seed, stream.stream_id)
-    res = run_batch(spec, domain, x, h, windows[0], n, seed, bridge=True)
+    res = run_batch(spec, domain, x, h, windows[0], n, effective_seed(rng), bridge=True)
     probs = []
     for w in windows:
         hit = res.zeta <= w + 1e-12

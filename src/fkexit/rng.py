@@ -40,6 +40,14 @@ def as_stream(rng) -> RngStream:
     raise TypeError(f"expected int seed or RngStream, got {type(rng).__name__}")
 
 
+def effective_seed(rng) -> int:
+    """The seed an estimator runs under: the int itself, or a stream's derived seed."""
+    stream = as_stream(rng)
+    if stream.stream_id == 0:
+        return stream.seed
+    return derive_seed(stream.seed, stream.stream_id)
+
+
 def derive_seed(seed: int, *labels) -> int:
     """Stable 64-bit sub-seed for a labelled sub-computation.
 

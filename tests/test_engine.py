@@ -9,16 +9,19 @@ from hypothesis import strategies as st
 from fkexit import engine
 from fkexit.engine import run_batch, run_single
 from fkexit.errors import InvalidStep
-from fkexit.feynman_kac import DirichletProblem, estimate_v
+from fkexit.feynman_kac import (DirichletProblem, estimate_discounted_exit, estimate_v,
+                                estimate_v_nonstationary)
 from fkexit.functions import Constant, PathSpaceCost, SpatialCost, Zero
 from fkexit.geometry import Ball, Box, Cylinder, Interval
-from fkexit.levy import (BrownianNoise, ConstantDrift, NoNoise, ProcessSpec, StableNoise,
-                         ZeroDrift, lift_time)
+from fkexit.levy import (AffineDrift, BrownianNoise, ConstantDrift, NoNoise, ProcessSpec,
+                         StableNoise, ZeroDrift, lift_time)
+from fkexit.pde_oracle import closed_form_v_eps
 from fkexit.rng import RngStream
 
 SPEC_DRIFT = ProcessSpec(ConstantDrift([1.0]), NoNoise(), 1)
 SPEC_BROWN = ProcessSpec(ConstantDrift([1.0]), BrownianNoise(1.0), 1)
 PROB01 = DirichletProblem(Interval(0, 1), Constant(1.0), Zero(), 1.0)
+PROB_CYL = DirichletProblem(Cylinder(1.0, Interval(0, 1)), Constant(1.0), Zero(), 1.0)
 
 EXIT_FIELDS = ("zeta", "zeta_hat", "point", "point_hat", "via_jump", "truncated", "steps")
 
@@ -29,6 +32,23 @@ EXIT_FIELDS = ("zeta", "zeta_hat", "point", "point_hat", "via_jump", "truncated"
 BAD_STEPS = st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan]))
 
 
+def estimate_calls(spec, h, n):
+    """Each estimate entry point from inside, from outside and (cylinder) after T.
+
+    A start outside, or at t >= T, has an exact answer, so these calls show
+    that the inputs are checked before that answer is returned.
+    """
+    return [
+        lambda: estimate_v(PROB01, spec, [0.5], h, n, 1),
+        lambda: estimate_v(PROB01, spec, [2.0], h, n, 1),
+        lambda: estimate_discounted_exit(PROB01, spec, [0.5], h, n, 1),
+        lambda: estimate_discounted_exit(PROB01, spec, [2.0], h, n, 1),
+        lambda: estimate_v_nonstationary(PROB_CYL, spec, 0.0, [0.5], h, n, 1),
+        lambda: estimate_v_nonstationary(PROB_CYL, spec, 0.0, [2.0], h, n, 1),
+        lambda: estimate_v_nonstationary(PROB_CYL, spec, 1.5, [0.5], h, n, 1),
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(BAD_STEPS)
 def test_non_positive_or_non_finite_step_raises(h):
@@ -37,8 +57,9 @@ def test_non_positive_or_non_finite_step_raises(h):
             run_batch(spec, Interval(0, 1), [0.5], h, 1.0, 10, 1)
         with pytest.raises(InvalidStep, match="finite positive"):
             run_single(spec, Interval(0, 1), [0.5], h, 1.0, RngStream(1))
-        with pytest.raises(InvalidStep, match="finite positive"):
-            estimate_v(PROB01, spec, [0.5], h, 10, 1)
+        for call in estimate_calls(spec, h, 10):
+            with pytest.raises(InvalidStep, match="finite positive"):
+                call()
 
 
 @settings(max_examples=40, deadline=None)
@@ -47,8 +68,21 @@ def test_empty_sample_raises(n):
     for spec in (SPEC_BROWN, SPEC_DRIFT):
         with pytest.raises(ValueError, match="positive integer"):
             run_batch(spec, Interval(0, 1), [0.5], 1e-3, 1.0, n, 1)
-        with pytest.raises(ValueError, match="positive integer"):
-            estimate_v(PROB01, spec, [0.5], 1e-3, n, 1)
+        for call in estimate_calls(spec, 1e-3, n):
+            with pytest.raises(ValueError, match="positive integer"):
+                call()
+
+
+# ---------------------------------------------------------------------------
+# One-step blocks.
+
+
+def test_state_dependent_drift_batch_matches_closed_form():
+    # b(x) = 0 x + 1 is the criterion-1 drift, but as an affine field the
+    # engine evaluates it at every step, in blocks of one step
+    spec = ProcessSpec(AffineDrift([[0.0]], [1.0]), BrownianNoise(1.0), 1)
+    est = estimate_v(PROB01, spec, [0.5], 1e-3, 4000, 1)
+    assert est.within(closed_form_v_eps(1.0, 0.5), extra=5e-3)
 
 
 # ---------------------------------------------------------------------------
