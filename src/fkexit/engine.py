@@ -5,9 +5,10 @@ draws from the Philox stream (seed, c).  The chunk size is part of the seed
 contract: results are bit-identical for any worker count because workers only
 split over chunks, never inside one.
 
-One driver advances a chunk in blocks of steps: :data:`BLOCK_STEPS` at a time
-for a state-independent drift in a chunk of several paths, one step at a time
-otherwise (a single trajectory then matches ``simulate_path`` knot for knot).
+One driver advances a chunk in blocks of :data:`~fkexit.levy.BLOCK_STEPS`
+Euler steps, whose knots :func:`~fkexit.levy.euler_block` builds; the noisy
+branch of ``simulate_path`` advances through the same blocks, so a single
+trajectory matches its skeleton knot for knot.
 Within a step, drift/Brownian segments are treated as linear and their
 boundary crossing is solved in closed form per shape face; an optional
 Brownian-bridge test on axis-aligned boxes catches crossings that both
@@ -36,13 +37,11 @@ import numpy as np
 from .errors import InvalidStep
 from .functions import Constant, PathSpaceCost, SpatialCost
 from .geometry import Ball, Box, Cylinder, Domain
-from .levy import (BrownianNoise, ConstantDrift, ProcessSpec, StableNoise, TimeAugmentedDrift,
-                   noise_increments, simulate_path)
+from .levy import BLOCK_STEPS, BrownianNoise, ProcessSpec, StableNoise, euler_block, simulate_path
 from .paths import evaluate, exit_time
 from .rng import RngStream
 
 CHUNK_SIZE = 8192
-BLOCK_STEPS = 128
 
 _GAUSS_NODES = 96
 
@@ -139,21 +138,26 @@ def segment_crossing(domain: Domain, a, b):
     return np.ones(len(a)), b.copy()
 
 
+# 1/(k+2)! for k = 0..16: the series of (e^x - 1 - x)/x^2, cut below 1e-17 for |x| < 1
+_PHI2_SERIES = tuple(1.0 / math.factorial(k + 2) for k in range(17))
+
+
 def _trap_weights(dt, lam):
-    """Weights (w0, w1) with integral = w0 l0 + w1 (l1 - l0), discount at t0 excluded."""
+    """Weights (w0, w1) with integral = w0 l0 + w1 (l1 - l0), discount at t0 excluded.
+
+    With x = lam dt, w0 = -expm1(-x)/lam and w1 = dt (1 - e^-x (1 + x))/x^2, the
+    latter as dt e^-x times the series of (e^x - 1 - x)/x^2 below |x| = 1.
+    """
     if lam == 0.0:
         return dt, 0.5 * dt
     x = lam * dt
-    if np.isscalar(x):
-        if x < 1e-3:
-            return dt * (1 - x / 2 + x * x / 6), dt * (0.5 - x / 3 + x * x / 8)
-        return (1 - math.exp(-x)) / lam, (1 - math.exp(-x) * (1 + x)) / (lam * lam * dt)
-    small = x < 1e-3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w0 = np.where(small, dt * (1 - x / 2 + x * x / 6), (1 - np.exp(-x)) / lam)
-        w1 = np.where(small, dt * (0.5 - x / 3 + x * x / 8),
-                      (1 - np.exp(-x) * (1 + x)) / (lam * lam * np.where(dt > 0, dt, 1.0)))
-    return w0, np.where(dt > 0, w1, 0.0)
+    small = abs(x) < 1.0
+    series = 0.0
+    for c in reversed(_PHI2_SERIES):
+        series = series * x + c
+    xl = np.where(small, 1.0, x)
+    w1 = dt * np.where(small, np.exp(-x) * series, (1.0 - np.exp(-xl) * (1.0 + xl)) / (xl * xl))
+    return -np.expm1(-x) / lam, w1
 
 
 def _disc_trapezoid(l0, l1, t0, dt, lam):
@@ -166,23 +170,9 @@ def _disc_trapezoid(l0, l1, t0, dt, lam):
 # ---------------------------------------------------------------------------
 # Stochastic chunk simulation.
 #
-# One driver advances the live rows of a chunk a block of nb steps at a time:
-# it draws the block's increments, builds the knots by cumulative sums, finds
-# each row's first step out of the domain and resolves the exit within it.
-# The block length is BLOCK_STEPS when the drift is state-independent and the
-# chunk holds more than one path, and 1 otherwise; a block of one step
-# evaluates the drift at each row's current position, and a single
-# trajectory then consumes its stream exactly like ``simulate_path``.  The
-# block length is a pure function of the spec and the chunk size, so it is
-# part of the reproducibility contract.
-
-
-def _state_independent(drift):
-    if isinstance(drift, ConstantDrift):
-        return True
-    if isinstance(drift, TimeAugmentedDrift):
-        return _state_independent(drift.base)
-    return False
+# One driver advances the live rows of a chunk BLOCK_STEPS steps at a time:
+# ``levy.euler_block`` builds the block's knots, then the driver finds each
+# row's first step out of the domain and resolves the exit within it.
 
 
 def _constant_cost(cost_fn):
@@ -271,9 +261,6 @@ def _bridge_scan(X, domain, half_var, gen, exit_step, bridge_exit, face_axis, fa
 
 def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, stop, bridge):
     d = spec.d
-    # a state-independent drift step is computed once; otherwise per row and step
-    vh = spec.drift(np.zeros((1, d)))[0] * h if _state_independent(spec.drift) else None
-    block = BLOCK_STEPS if m > 1 and vh is not None else 1
     pos = np.tile(np.asarray(x0, float), (m, 1))
     idx = np.arange(m)
     zeta = np.full(m, np.inf)
@@ -296,15 +283,9 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, st
 
     k0 = 0
     while idx.size and k0 < n_steps:
-        nb = min(block, n_steps - k0)
+        nb = min(BLOCK_STEPS, n_steps - k0)
         na = idx.size
-        bh = vh if vh is not None else spec.drift(pos) * h
-        incr, jmask = noise_increments(spec, h, gen, na, nb)
-        incr += bh[..., None, :]
-        X = np.empty((na, nb + 1, d))
-        X[:, 0] = pos
-        np.cumsum(incr, axis=1, out=incr)
-        X[:, 1:] = pos[:, None, :] + incr
+        X, jmask = euler_block(spec, pos, h, gen, nb)
 
         exit_step = _first_outside(_member_block(domain, X, stop_mode))
         bridge_exit = np.zeros(na, bool)
@@ -332,7 +313,7 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, st
                     if lid.any():
                         r2 = rows[lid]
                         sT = (domain.T - a[lid, 0]) / h
-                        xl = a[lid] + np.broadcast_to(bh, (na, d))[r2] * sT[:, None]
+                        xl = a[lid] + spec.drift(a[lid]) * h * sT[:, None]
                         xl[:, 0] = domain.T
                         tau[r2] = (k0 + je[lid] + sT) * h
                         xex[r2] = xl

@@ -29,6 +29,10 @@ from .rng import RngStream, as_stream
 # simulated paths; exact left-limit tests run on analytic paths.
 JUMP_MARK_FACTOR = 6.0
 
+# Euler steps per block: the engine and ``simulate_path`` advance a path this
+# many steps at a time.  Part of the reproducibility contract.
+BLOCK_STEPS = 128
+
 
 # ---------------------------------------------------------------------------
 # Drift fields.
@@ -63,8 +67,7 @@ class ConstantDrift(DriftField):
         object.__setattr__(self, "velocity", np.atleast_1d(np.asarray(self.velocity, float)))
 
     def __call__(self, x):
-        x = np.asarray(x, float)
-        return np.broadcast_to(self.velocity, x.shape).copy()
+        return np.full(np.shape(x), self.velocity)
 
     @property
     def is_zero(self):
@@ -312,30 +315,49 @@ def sample_isotropic_stable(alpha, d, rng, size=None):
     return x[0] if size is None else x
 
 
-def noise_increments(spec: ProcessSpec, h, gen, na, nb):
-    """(na, nb, d) noise increments of nb Euler steps for na paths, and (na, nb) jump marks.
+def _velocity(drift):
+    """The value of a drift that does not depend on the state, else None."""
+    if isinstance(drift, TimeAugmentedDrift):
+        v = _velocity(drift.base)
+        return None if v is None else np.concatenate([[1.0], v])
+    return drift.velocity if isinstance(drift, ConstantDrift) else None
 
-    For a noisy spec only (eps > 0 or sigma > 0).  Stable draws come in the
-    order of :func:`sample_isotropic_stable` (angles, exponentials, normals),
-    so one call with na = nb = 1 per step is the single-path stream.
+
+def euler_block(spec: ProcessSpec, pos, h, gen, nb):
+    """(na, nb + 1, d) knots of nb Euler steps from the rows of pos, and (na, nb) jump marks.
+
+    The one knot builder, for a noisy spec.  Noise is drawn first (stable draws
+    in :func:`sample_isotropic_stable` order); a state-independent drift step is
+    added to every increment before one cumulative sum, any other drift is
+    evaluated at each knot in turn: ``x + (b(x) h + dW)``.
     """
     noise = spec.noise
-    shape = (na, nb, spec.d - spec.noise_offset)
+    na, d = pos.shape
+    shape = (na, nb, d - spec.noise_offset)
     if isinstance(noise, BrownianNoise):
-        incr = gen.standard_normal(shape)
-        incr *= noise.eps * math.sqrt(h)
+        dw = gen.standard_normal(shape)
+        dw *= noise.eps * math.sqrt(h)
         jump = np.zeros((na, nb), dtype=bool)
     else:
         t = sample_one_sided_stable(noise.alpha / 2.0, gen, size=na * nb).reshape(na, nb)
-        incr = np.sqrt(2.0 * t)[:, :, None] * gen.standard_normal(shape)
-        jump = np.linalg.norm(incr, axis=2) > JUMP_MARK_FACTOR
-        incr *= noise.sigma * h ** (1.0 / noise.alpha)
-    if spec.noise_offset == 0:
-        return incr, jump
-    # the leading (clock) coordinates carry no noise
-    out = np.zeros((na, nb, spec.d))
-    out[:, :, spec.noise_offset:] = incr
-    return out, jump
+        dw = gen.standard_normal(shape)
+        dw *= np.sqrt(2.0 * t)[:, :, None]
+        jump = np.linalg.norm(dw, axis=2) > JUMP_MARK_FACTOR
+        dw *= noise.sigma * h ** (1.0 / noise.alpha)
+    if spec.noise_offset:  # the leading (clock) coordinates carry no noise
+        dw = np.concatenate([np.zeros((na, nb, spec.noise_offset)), dw], axis=2)
+    X = np.empty((na, nb + 1, d))
+    X[:, 0] = pos
+    v = _velocity(spec.drift)
+    if v is not None:
+        dw += v * h
+        np.cumsum(dw, axis=1, out=dw)
+        dw += pos[:, None, :]
+        X[:, 1:] = dw
+    else:
+        for j in range(nb):
+            X[:, j + 1] = X[:, j] + (spec.drift(X[:, j]) * h + dw[:, j])
+    return X, jump
 
 
 def simulate_path(spec: ProcessSpec, x0, h, horizon, rng) -> CadlagPath:
@@ -369,15 +391,14 @@ def simulate_path(spec: ProcessSpec, x0, h, horizon, rng) -> CadlagPath:
             points[k + 1] = _rk4_step(spec.drift, points[k], h)
         return linear_path(times, points)
 
-    # the engine's knot formula and draw order, so its exits match this path
+    # the engine's blocks, so its exits are this skeleton's exits
     gen = as_stream(rng).generator()
-    for k in range(n_steps):
-        x = points[k:k + 1]
-        bh = spec.drift(x) * h
-        incr, jump = noise_increments(spec, h, gen, 1, 1)
-        points[k + 1] = x[0] + (bh[0] + incr[0, 0])
-        if jump[0, 0]:
-            jumps[k + 1] = x[0] + bh[0]
+    for k0 in range(0, n_steps, BLOCK_STEPS):
+        nb = min(BLOCK_STEPS, n_steps - k0)
+        X, jump = euler_block(spec, points[k0:k0 + 1], h, gen, nb)
+        points[k0 + 1:k0 + nb + 1] = X[0, 1:]
+        for j in np.flatnonzero(jump[0]):
+            jumps[k0 + int(j) + 1] = X[0, j] + spec.drift(X[0, j:j + 1])[0] * h
     return linear_path(times, points, jumps)
 
 

@@ -27,9 +27,6 @@ class RngStream:
         key = np.array([self.seed & MASK64, self.stream_id & MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def child(self, offset: int) -> "RngStream":
-        return RngStream(self.seed, (self.stream_id + offset) & MASK64)
-
 
 def as_stream(rng) -> RngStream:
     """Coerce an int seed or an RngStream to an RngStream."""

@@ -20,6 +20,7 @@ from fkexit.rng import RngStream
 
 SPEC_DRIFT = ProcessSpec(ConstantDrift([1.0]), NoNoise(), 1)
 SPEC_BROWN = ProcessSpec(ConstantDrift([1.0]), BrownianNoise(1.0), 1)
+SPEC_BALL = ProcessSpec(ZeroDrift(2), StableNoise(1.5, 1.0), 2)
 PROB01 = DirichletProblem(Interval(0, 1), Constant(1.0), Zero(), 1.0)
 PROB_CYL = DirichletProblem(Cylinder(1.0, Interval(0, 1)), Constant(1.0), Zero(), 1.0)
 
@@ -74,12 +75,12 @@ def test_empty_sample_raises(n):
 
 
 # ---------------------------------------------------------------------------
-# One-step blocks.
+# State-dependent drift.
 
 
 def test_state_dependent_drift_batch_matches_closed_form():
     # b(x) = 0 x + 1 is the criterion-1 drift, but as an affine field the
-    # engine evaluates it at every step, in blocks of one step
+    # engine evaluates it at each knot inside its blocks
     spec = ProcessSpec(AffineDrift([[0.0]], [1.0]), BrownianNoise(1.0), 1)
     est = estimate_v(PROB01, spec, [0.5], 1e-3, 4000, 1)
     assert est.within(closed_form_v_eps(1.0, 0.5), extra=5e-3)
@@ -102,15 +103,20 @@ class Flat:
 def assert_same_exits_and_cost(closed, general):
     for f in EXIT_FIELDS:
         np.testing.assert_array_equal(getattr(closed, f), getattr(general, f), err_msg=f)
-    np.testing.assert_allclose(closed.cost, general.cost, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(closed.cost, general.cost, rtol=1e-14, atol=0.0)
 
 
-def test_closed_form_cost_blocked_kernel():
+@pytest.mark.parametrize("spec,domain,x0,h", [
+    (SPEC_BROWN, Interval(0, 1), [0.5], 1e-4),
+    (SPEC_BROWN, Interval(0, 1), [0.5], 1e-3),
+    (SPEC_BROWN, Interval(0, 1), [0.5], 1e-2),
+    (SPEC_BALL, Ball([0.0, 0.0], 1.0), [0.0, 0.0], 1e-3),
+], ids=["brownian-1e-4", "brownian-1e-3", "brownian-1e-2", "stable-ball-1e-3"])
+def test_closed_form_cost_blocked_kernel(spec, domain, x0, h):
     kw = dict(lam=1.0, stop="closure", bridge=True)
-    closed = run_batch(SPEC_BROWN, Interval(0, 1), [0.5], 1e-4, 20.0, 2000, 5,
-                       cost_fn=SpatialCost(Constant(2.5)), **kw)
-    general = run_batch(SPEC_BROWN, Interval(0, 1), [0.5], 1e-4, 20.0, 2000, 5,
-                        cost_fn=SpatialCost(Flat(2.5)), **kw)
+    closed, general = [run_batch(spec, domain, x0, h, 20.0, 2000, 5,
+                                 cost_fn=SpatialCost(fn), **kw)
+                       for fn in (Constant(2.5), Flat(2.5))]
     assert not closed.truncated.any()
     assert_same_exits_and_cost(closed, general)
 
@@ -140,6 +146,30 @@ def test_closed_form_cost_truncated_paths():
                        for fn in (Constant(1.0), Flat(1.0))]
     assert closed.truncated.any() and not closed.truncated.all()
     assert_same_exits_and_cost(closed, general)
+
+
+class Clock:
+    """The clock coordinate of a time-extended state, a cost linear in time."""
+
+    def __call__(self, y):
+        return np.asarray(y, float)[..., 0]
+
+
+@pytest.mark.parametrize("noise", [BrownianNoise(1.0), StableNoise(1.5, 1.0)],
+                         ids=["brownian", "stable"])
+def test_trapezoid_exact_for_cost_linear_in_time(noise):
+    # the trapezoid of a linear integrand is exact, so the cost of l = t is
+    # (1 - e^-x (1 + x)) / lam^2 at x = lam t_stop; for x > 1/2 that closed
+    # form is itself free of cancellation
+    lam, h = 1.0, 1e-3
+    spec = lift_time(ProcessSpec(ZeroDrift(1), noise, 1))
+    res = run_batch(spec, Cylinder(1.0, Ball([0.0], 1.0)), [0.0, 0.3], h, 1.002, 300, 3,
+                    lam=lam, cost_fn=PathSpaceCost(Clock()))
+    x = lam * np.where(res.truncated, res.steps * h, res.zeta)
+    far = x > 0.5
+    assert far.sum() > 100
+    exact = (1.0 - np.exp(-x[far]) * (1.0 + x[far])) / lam**2
+    np.testing.assert_allclose(res.cost[far], exact, rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from fkexit.errors import InvalidStart
 from fkexit.exit import (exit_coincidence, exit_point_avoidance, records_to_csv,
                          sample_exit)
 from fkexit.geometry import Ball, Cylinder, Interval, parabolic_rect
-from fkexit.levy import (BrownianNoise, ConstantDrift, NoNoise, ParabolicDrift,
-                         ProcessSpec, StableNoise, ZeroDrift, simulate_path)
+from fkexit.levy import (BLOCK_STEPS, AffineDrift, BrownianNoise, ConstantDrift, NoNoise,
+                         ParabolicDrift, ProcessSpec, StableNoise, ZeroDrift, simulate_path)
 from fkexit.paths import exit_point, exit_time, step_path
 from fkexit.rng import RngStream
 
@@ -66,6 +66,21 @@ class TestEngineMatchesPathOperators:
             z_ref = exit_time(path, dom, "closure-hit")
             assert res.zeta[0] == pytest.approx(z_ref, abs=1e-12)
             assert np.allclose(res.point[0], exit_point(path, dom, "closure-hit"), atol=1e-12)
+
+    def test_state_dependent_drift_single_path(self):
+        # b(x) = 2 - 3x is evaluated at each knot inside the engine's blocks;
+        # some paths exit after the first block
+        spec = ProcessSpec(AffineDrift([[-3.0]], [2.0]), BrownianNoise(1.0), 1)
+        dom = Interval(0, 1)
+        steps = []
+        for sid in range(10):
+            stream = RngStream(79, sid)
+            res = run_single(spec, dom, [0.5], 1e-3, 5.0, stream)
+            path = simulate_path(spec, [0.5], 1e-3, 5.0, stream)
+            assert res.zeta[0] == pytest.approx(exit_time(path, dom, "closure-hit"), abs=1e-12)
+            assert np.allclose(res.point[0], exit_point(path, dom, "closure-hit"), atol=1e-12)
+            steps.append(res.steps[0])
+        assert max(steps) > BLOCK_STEPS
 
     def test_stable_single_path_knot_semantics(self):
         # stable exits are recorded at knots; compare with the step-path view
