@@ -10,7 +10,8 @@ Euler steps, whose knots :func:`~fkexit.levy.euler_block` builds; the noisy
 branch of ``simulate_path`` advances through the same blocks, so a single
 trajectory matches its skeleton knot for knot.
 Within a step, drift/Brownian segments are treated as linear and their
-boundary crossing is solved in closed form per shape face; an optional
+boundary crossing is the earliest closed-form crossing over the domain's
+faces (``Domain.faces()``; the engine keeps no shape geometry); an optional
 Brownian-bridge test on axis-aligned boxes catches crossings that both
 endpoints miss.  Stable steps are never refined: a jump is the exit itself,
 and its landing point is the exit point (boundary data lives on the whole
@@ -18,7 +19,7 @@ complement).  Paths stopped by the horizon keep their running cost integral
 and are flagged truncated.
 
 A running cost that is a named constant (:class:`~fkexit.functions.Constant`
-behind a spatial or path-space adapter) is integrated in closed form,
+behind :class:`~fkexit.functions.SpatialCost`) is integrated in closed form,
 c (1 - exp(-lam t)) / lam up to the stop time t, instead of step by step; the
 simulated paths and their random draws are the same either way.
 
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStep
-from .functions import Constant, PathSpaceCost, SpatialCost
-from .geometry import Ball, Box, Cylinder, Domain
+from .functions import Constant, SpatialCost
+from .geometry import Box, Cylinder, Domain
 from .levy import BLOCK_STEPS, BrownianNoise, ProcessSpec, StableNoise, euler_block, simulate_path
 from .paths import evaluate, exit_time
 from .rng import RngStream
@@ -70,72 +71,26 @@ class BatchResult:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form crossing of a linear segment, per shape.
-
-
-def _crossing_box(lo, hi, a, b):
-    m = a.shape[0]
-    s = np.full(m, np.inf)
-    axis = np.zeros(m, dtype=int)
-    fval = np.zeros(m)
-    rel = b - a
-    for i in range(a.shape[1]):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for face, mask in ((lo[i], b[:, i] < lo[i]), (hi[i], b[:, i] > hi[i])):
-                si = np.where(mask, (face - a[:, i]) / rel[:, i], np.inf)
-                better = si < s
-                s = np.where(better, si, s)
-                axis = np.where(better, i, axis)
-                fval = np.where(better, face, fval)
-    s = np.where(np.isfinite(s), np.clip(s, 0.0, 1.0), np.inf)
-    x = a + np.where(np.isfinite(s), s, 1.0)[:, None] * rel
-    x[np.arange(m), axis] = fval
-    return s, x
-
-
-def _crossing_ball(center, radius, a, b):
-    rel = b - a
-    ca = a - center
-    aa = np.einsum("ij,ij->i", rel, rel)
-    bb = 2.0 * np.einsum("ij,ij->i", ca, rel)
-    cc = np.einsum("ij,ij->i", ca, ca) - radius**2
-    disc = np.maximum(bb * bb - 4 * aa * cc, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (-bb + np.sqrt(disc)) / (2 * aa)
-    s = np.clip(np.where(np.isfinite(s), s, 1.0), 0.0, 1.0)
-    x = a + s[:, None] * rel
-    d = x - center
-    nrm = np.linalg.norm(d, axis=1, keepdims=True)
-    x = center + d * (radius / np.maximum(nrm, 1e-300))
-    return s, x
+# Closed-form crossing of a linear segment.
 
 
 def segment_crossing(domain: Domain, a, b):
-    """(s, x): first closure-crossing fraction of segments a->b and the snapped point.
+    """(s, x): first face-crossing fraction of segments a->b and the snapped point.
 
-    Requires each b to lie outside the closure; for the convex shapes here
-    the segment then crosses exactly once.
+    Requires each b to lie outside the open set (it may sit on a face) and
+    each a in the closure; for the convex shapes here the earliest crossing
+    over ``domain.faces()`` is then the exit.  Ties go to the earlier face.
     """
-    if isinstance(domain, Box):
-        return _crossing_box(domain.lo, domain.hi, a, b)
-    if isinstance(domain, Ball):
-        return _crossing_ball(domain.center, domain.radius, a, b)
-    if isinstance(domain, Cylinder):
-        s_t, x_t = _crossing_box(np.array([0.0]), np.array([domain.T]), a[:, :1], b[:, :1])
-        out_sp = ~domain.base.contains(b[:, 1:], "closure")
-        s_sp = np.full(len(a), np.inf)
-        x_sp = np.zeros_like(a[:, 1:])
-        if out_sp.any():
-            s_sp[out_sp], x_sp[out_sp] = segment_crossing(domain.base, a[out_sp, 1:], b[out_sp, 1:])
-        s = np.minimum(s_t, s_sp)
-        x = a + s[:, None] * (b - a)
-        use_t = s_t <= s_sp
-        x[use_t, 0] = x_t[use_t, 0]
-        if (~use_t).any():
-            x[~use_t, 1:] = x_sp[~use_t]
-        return s, x
-    # membership-only domains: no closed form, exit at the step end
-    return np.ones(len(a)), b.copy()
+    faces = domain.faces()
+    if faces is None:  # membership-only domains: no closed form, exit at the step end
+        return np.ones(len(a)), b.copy()
+    s, x = faces[0].segment_crossing(a, b)
+    for face in faces[1:]:
+        sf, xf = face.segment_crossing(a, b)
+        better = sf < s
+        s[better] = sf[better]
+        x[better] = xf[better]
+    return s, x
 
 
 # 1/(k+2)! for k = 0..16: the series of (e^x - 1 - x)/x^2, cut below 1e-17 for |x| < 1
@@ -177,16 +132,16 @@ def _disc_trapezoid(l0, l1, t0, dt, lam):
 
 def _constant_cost(cost_fn):
     """The value c of a running cost that is constant in time and space, else None."""
-    if isinstance(cost_fn, (SpatialCost, PathSpaceCost)) and isinstance(cost_fn.fn, Constant):
+    if isinstance(cost_fn, SpatialCost) and isinstance(cost_fn.fn, Constant):
         return float(cost_fn.fn.value)
     return None
 
 
-def _run_chunk(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, stop, bridge):
+def _run_chunk(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge):
     c = _constant_cost(cost_fn)
     if c is not None:
         cost_fn = None
-    res = _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, stop, bridge)
+    res = _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge)
     if c is not None:
         # integral of c exp(-lam s) over [0, t_stop], t_stop the exit or the horizon
         t_stop = np.where(res.truncated, res.steps * h, res.zeta)
@@ -259,7 +214,7 @@ def _bridge_scan(X, domain, half_var, gen, exit_step, bridge_exit, face_axis, fa
             face_val[rows] = face
 
 
-def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, stop, bridge):
+def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge):
     d = spec.d
     pos = np.tile(np.asarray(x0, float), (m, 1))
     idx = np.arange(m)
@@ -355,8 +310,7 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, st
                 open_found[g] = True
 
         if cost_fn is not None:
-            tk = t_offset + (k0 + np.arange(nb + 1)) * h
-            lv = np.asarray(cost_fn(tk[None, :], X), float)
+            lv = np.asarray(cost_fn(X), float)
             w0, w1 = _trap_weights(h, lam)
             contrib = lv[:, :-1] * w0 + (lv[:, 1:] - lv[:, :-1]) * w1
             if lam != 0.0:
@@ -367,8 +321,8 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, st
                 je = exit_step[rows]
                 t_e = (k0 + je) * h
                 dt_e = tau[rows] - t_e
-                l0 = np.asarray(cost_fn(t_offset + t_e, X[rows, je]), float)
-                l1 = np.asarray(cost_fn(t_offset + tau[rows], xex[rows]), float)
+                l0 = np.asarray(cost_fn(X[rows, je]), float)
+                l1 = np.asarray(cost_fn(xex[rows]), float)
                 cost[idx[rows]] += _disc_trapezoid(l0, l1, t_e, dt_e, lam)
 
         if rows.size:
@@ -394,14 +348,14 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, st
 # Deterministic short-circuit.
 
 
-def _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, t_offset, stop):
+def _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, stop):
     path = simulate_path(spec, x0, h, horizon, RngStream(0, 0))
     mode = "open-hit" if stop == "open" else "closure-hit"
     z = exit_time(path, domain, mode)
     zh = exit_time(path, domain, "open-hit")
     truncated = not (z < horizon + 1e-12)
     t_stop = min(z, horizon)
-    c = _quadrature_cost(path, cost_fn, lam, t_offset, t_stop) if cost_fn else 0.0
+    c = _quadrature_cost(path, cost_fn, lam, t_stop) if cost_fn else 0.0
     point = evaluate(path, z) if not truncated else np.full(spec.d, np.nan)
     point_hat = evaluate(path, zh) if zh < math.inf else np.full(spec.d, np.nan)
     zeta = z if not truncated else math.inf
@@ -409,14 +363,14 @@ def _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, t_offset, 
                 truncated=truncated, cost=c, steps=int(math.ceil(t_stop / h)))
 
 
-def _quadrature_cost(path, cost_fn, lam, t_offset, t_stop):
+def _quadrature_cost(path, cost_fn, lam, t_stop):
     if t_stop <= 0:
         return 0.0
     if path.kind == "flow":
         nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
         t = 0.5 * t_stop * (nodes + 1.0)
         w = 0.5 * t_stop * weights
-        vals = cost_fn(t_offset + t, path.flow.eval(t))
+        vals = cost_fn(path.flow.eval(t))
         return float(np.sum(w * np.exp(-lam * t) * vals))
     from .paths import left_limit
 
@@ -427,8 +381,8 @@ def _quadrature_cost(path, cost_fn, lam, t_offset, t_stop):
             continue
         a = evaluate(path, t0)
         b = left_limit(path, t1)
-        l0 = cost_fn(np.array([t_offset + t0]), a.reshape(1, -1))[0]
-        l1 = cost_fn(np.array([t_offset + t1]), b.reshape(1, -1))[0]
+        l0 = cost_fn(a.reshape(1, -1))[0]
+        l1 = cost_fn(b.reshape(1, -1))[0]
         total += float(_disc_trapezoid(l0, l1, t0, t1 - t0, lam))
     return total
 
@@ -446,15 +400,15 @@ def check_inputs(h, n=1):
 
 
 def run_single(spec, domain, x0, h, horizon, stream: RngStream,
-               lam=0.0, cost_fn=None, t_offset=0.0, stop="closure", bridge=False):
+               lam=0.0, cost_fn=None, stop="closure", bridge=False):
     """One trajectory, bit-identical to ``simulate_path`` with the same stream."""
     check_inputs(h)
     if spec.is_deterministic:
-        r = _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, t_offset, stop)
+        r = _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, stop)
         return _broadcast_result(r, 1, spec.d)
     n_steps = int(math.ceil(horizon / h - 1e-12))
     return _run_chunk(spec, domain, np.atleast_1d(np.asarray(x0, float)), h, n_steps,
-                      stream.generator(), 1, lam, cost_fn, t_offset, stop, bridge)
+                      stream.generator(), 1, lam, cost_fn, stop, bridge)
 
 
 def _broadcast_result(r, n, d):
@@ -467,19 +421,19 @@ def _broadcast_result(r, n, d):
 
 
 def _chunk_task(args):
-    (spec, domain, x0, h, n_steps, seed, chunk_id, m, lam, cost_fn, t_offset, stop, bridge) = args
+    (spec, domain, x0, h, n_steps, seed, chunk_id, m, lam, cost_fn, stop, bridge) = args
     gen = RngStream(seed, chunk_id).generator()
-    return _run_chunk(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, t_offset, stop, bridge)
+    return _run_chunk(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge)
 
 
 def run_batch(spec: ProcessSpec, domain: Domain, x0, h, horizon, n, seed,
-              lam=0.0, cost_fn=None, t_offset=0.0, stop="closure", bridge=False,
+              lam=0.0, cost_fn=None, stop="closure", bridge=False,
               workers=1) -> BatchResult:
     """n first-exit trajectories with the fixed chunk/stream contract."""
     check_inputs(h, n)
     x0 = np.atleast_1d(np.asarray(x0, float))
     if spec.is_deterministic:
-        r = _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, t_offset, stop)
+        r = _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, stop)
         return _broadcast_result(r, n, spec.d)
     n_steps = int(math.ceil(horizon / h - 1e-12))
     tasks = []
@@ -488,7 +442,7 @@ def run_batch(spec: ProcessSpec, domain: Domain, x0, h, horizon, n, seed,
     while done < n:
         m = min(CHUNK_SIZE, n - done)
         tasks.append((spec, domain, x0, h, n_steps, seed, cid, m,
-                      lam, cost_fn, t_offset, stop, bridge))
+                      lam, cost_fn, stop, bridge))
         done += m
         cid += 1
     if workers > 1 and len(tasks) > 1:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .engine import check_inputs, run_batch
 from .errors import DegenerateP, FkexitError, InvalidStart
-from .functions import ExpDistance, PathSpaceCost, SpatialCost, TimeScaledCost, sup_on_box
+from .functions import ExpDistance, SpatialCost, TimeScaledCost, sup_on_box
 from .geometry import Cylinder, Domain
 from .levy import ProcessSpec, lift_time
 from .rng import derive_seed, effective_seed
@@ -81,7 +81,7 @@ def _summarize(values, n, seed, truncated):
 
 
 def estimate_v(problem: DirichletProblem, spec: ProcessSpec, x0, h, n, rng,
-               horizon=None, exit_rule="closure", workers=1, check_bound=True) -> MCEstimate:
+               horizon=None, exit_rule="closure", workers=1) -> MCEstimate:
     """Feynman-Kac value at x0 from n simulated exits.
 
     A start outside the closed domain exits immediately, so the estimate is
@@ -106,8 +106,7 @@ def estimate_v(problem: DirichletProblem, spec: ProcessSpec, x0, h, n, rng,
     live = ~res.truncated
     if live.any():
         F[live] += np.exp(-lam * res.zeta[live]) * np.asarray(g(res.point[live]), float)
-    if check_bound:
-        _check_clamp(problem, F)
+    _check_clamp(problem, F)
     return _summarize(F, n, seed, res.truncated)
 
 
@@ -173,7 +172,7 @@ def estimate_v_nonstationary(problem: DirichletProblem, spec: ProcessSpec, t, x,
     horizon = (T - t) + 2 * h
     if route == "direct":
         res = run_batch(lifted, cyl, y0, h, horizon, n, seed,
-                        lam=0.0, cost_fn=PathSpaceCost(problem.running_cost),
+                        lam=0.0, cost_fn=SpatialCost(problem.running_cost),
                         workers=workers)
         F = res.cost
     elif route == "lifted":

@@ -5,8 +5,8 @@ values of shape (...).  Named families serialize to config dictionaries and
 carry a global sup bound where one is available in closed form, which feeds
 the deterministic |F| clamp of the Feynman-Kac estimators.
 
-Cost functions used inside the simulation engine have the signature
-``f(t_abs, points)``; :class:`SpatialCost` adapts a space-only function and
+Cost functions used inside the simulation engine take the simulated state
+alone, ``f(points)``; :class:`SpatialCost` adapts a named function and
 :class:`TimeScaledCost` applies the exp(lam * t) reweighting used when a
 non-stationary problem is folded into a stationary one.
 """
@@ -114,11 +114,11 @@ def function_from_config(cfg: dict) -> NamedFunction:
     raise ValueError(f"unknown function {name!r}")
 
 
-def sup_on_box(fn, lo, hi, per_axis=64):
+def sup_on_box(fn, lo, hi):
     """Lattice sup of |fn| over an axis-aligned box (a bound for sane functions)."""
     lo = np.atleast_1d(np.asarray(lo, float))
     hi = np.atleast_1d(np.asarray(hi, float))
-    axes = [np.linspace(a, b, per_axis) for a, b in zip(lo, hi)]
+    axes = [np.linspace(a, b, 64) for a, b in zip(lo, hi)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, lo.size)
     return float(np.max(np.abs(np.asarray(fn(grid), float))))
 
@@ -129,22 +129,16 @@ def sup_on_box(fn, lo, hi, per_axis=64):
 
 @dataclass(frozen=True)
 class SpatialCost:
-    """Adapt a space-only function to the engine's (t, x) cost signature."""
+    """Adapt a function of the simulated state (space, or time-extended (t, x)) to a cost."""
 
     fn: object
 
-    def __call__(self, t, x):
+    def __call__(self, x):
         return np.asarray(self.fn(x), float)
 
 
-@dataclass(frozen=True)
-class PathSpaceCost:
-    """Cost read directly off the simulated state (used for time-extended specs)."""
-
-    fn: object
-
-    def __call__(self, t, y):
-        return np.asarray(self.fn(y), float)
+# the adapter's former name for time-extended states, kept for the code that imports it
+PathSpaceCost = SpatialCost
 
 
 @dataclass(frozen=True)
@@ -154,6 +148,6 @@ class TimeScaledCost:
     fn: object
     lam: float
 
-    def __call__(self, t, y):
+    def __call__(self, y):
         y = np.asarray(y, float)
         return np.exp(self.lam * y[..., 0]) * np.asarray(self.fn(y), float)

@@ -36,15 +36,21 @@ def _as_points(x, d):
 
 
 # ---------------------------------------------------------------------------
-# Faces: crossing polynomials for the exact exit-time solver.
+# Faces: crossing polynomials for the exact exit-time solver, and closed-form
+# crossings of linear segments for the simulation engine.
 
 
 @dataclass(frozen=True)
 class AxisFace:
-    """Hyperplane face {x[axis] = value}."""
+    """Hyperplane face {x[axis] = value}; the domain lies on the side opposite ``side``.
+
+    ``side`` is -1 for a lower face (inside is x[axis] > value) and +1 for an
+    upper face (inside is x[axis] < value).
+    """
 
     axis: int
     value: float
+    side: int
 
     def crossing_poly(self, coord_polys):
         p = np.atleast_1d(np.asarray(coord_polys[self.axis], dtype=float)).copy()
@@ -55,6 +61,21 @@ class AxisFace:
         y = np.array(x, dtype=float)
         y[self.axis] = self.value
         return y
+
+    def segment_crossing(self, a, b):
+        """(s, x) of the (m, d) segments a -> b: the fraction in [0, 1] where each
+        meets the face, inf where b lies strictly inside, and the point snapped on it.
+
+        A segment that runs along the face (both ends on it) meets it at s = 0.
+        """
+        ai, bi = a[:, self.axis], b[:, self.axis]
+        rel = bi - ai
+        beyond = bi >= self.value if self.side > 0 else bi <= self.value
+        s = np.divide(self.value - ai, rel, out=np.zeros(len(a)), where=beyond & (rel != 0))
+        s = np.where(beyond, np.clip(s, 0.0, 1.0), np.inf)
+        x = a + np.minimum(s, 1.0)[:, None] * (b - a)
+        x[:, self.axis] = self.value
+        return s, x
 
 
 @dataclass(frozen=True)
@@ -85,6 +106,28 @@ class SphereFace:
         else:
             y[list(self.axes)] = c + np.eye(len(self.axes))[0] * self.radius
         return y
+
+    def segment_crossing(self, a, b):
+        """(s, x) of the (m, d) segments a -> b: the fraction in [0, 1] where each
+        leaves the sphere, inf where b lies strictly inside, and the point
+        projected radially onto it (row-wise, unlike :meth:`snap`)."""
+        ax = list(self.axes)
+        c = np.asarray(self.center)
+        rel = b[:, ax] - a[:, ax]
+        ca = a[:, ax] - c
+        aa = np.einsum("ij,ij->i", rel, rel)
+        bb = 2.0 * np.einsum("ij,ij->i", ca, rel)
+        cc = np.einsum("ij,ij->i", ca, ca) - self.radius**2
+        disc = np.maximum(bb * bb - 4 * aa * cc, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (-bb + np.sqrt(disc)) / (2 * aa)
+        s = np.clip(np.where(np.isfinite(s), s, 1.0), 0.0, 1.0)
+        x = a + s[:, None] * (b - a)
+        d = x[:, ax] - c
+        nrm = np.linalg.norm(d, axis=1, keepdims=True)
+        x[:, ax] = c + d * (self.radius / np.maximum(nrm, 1e-300))
+        s[np.linalg.norm(b[:, ax] - c, axis=-1) < self.radius] = np.inf
+        return s, x
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +203,7 @@ class Domain:
         raise NotImplementedError
 
     def faces(self):
-        """Face descriptors for closed-form segment crossings; None if unsupported."""
+        """Faces of the boundary (crossing polynomials, segment crossings); None if unsupported."""
         return None
 
     def exterior_cone(self, x) -> Cone:
@@ -203,8 +246,8 @@ class Box(Domain):
     def faces(self):
         out = []
         for i in range(self.d):
-            out.append(AxisFace(i, float(self.lo[i])))
-            out.append(AxisFace(i, float(self.hi[i])))
+            out.append(AxisFace(i, float(self.lo[i]), -1))
+            out.append(AxisFace(i, float(self.hi[i]), 1))
         return out
 
     def exterior_cone(self, x):
@@ -340,10 +383,10 @@ class Cylinder(Domain):
         base_faces = self.base.faces()
         if base_faces is None:
             return None
-        out = [AxisFace(0, 0.0), AxisFace(0, float(self.T))]
+        out = [AxisFace(0, 0.0, -1), AxisFace(0, float(self.T), 1)]
         for f in base_faces:
             if isinstance(f, AxisFace):
-                out.append(AxisFace(f.axis + 1, f.value))
+                out.append(AxisFace(f.axis + 1, f.value, f.side))
             elif isinstance(f, SphereFace):
                 out.append(SphereFace(f.center, f.radius, tuple(a + 1 for a in f.axes)))
         return out

@@ -311,8 +311,8 @@ def sample_isotropic_stable(alpha, d, rng, size=None):
     n = 1 if size is None else int(size)
     t = sample_one_sided_stable(alpha / 2.0, gen, size=n)
     z = gen.standard_normal((n, d))
-    x = np.sqrt(2.0 * t)[:, None] * z
-    return x[0] if size is None else x
+    z *= np.sqrt(2.0 * t)[:, None]
+    return z[0] if size is None else z
 
 
 def _velocity(drift):
@@ -326,10 +326,10 @@ def _velocity(drift):
 def euler_block(spec: ProcessSpec, pos, h, gen, nb):
     """(na, nb + 1, d) knots of nb Euler steps from the rows of pos, and (na, nb) jump marks.
 
-    The one knot builder, for a noisy spec.  Noise is drawn first (stable draws
-    in :func:`sample_isotropic_stable` order); a state-independent drift step is
-    added to every increment before one cumulative sum, any other drift is
-    evaluated at each knot in turn: ``x + (b(x) h + dW)``.
+    The one knot builder, for a noisy spec.  Noise is drawn first (stable
+    increments by :func:`sample_isotropic_stable`); a state-independent drift
+    step is added to every increment before one cumulative sum, any other
+    drift is evaluated at each knot in turn: ``x + (b(x) h + dW)``.
     """
     noise = spec.noise
     na, d = pos.shape
@@ -339,9 +339,7 @@ def euler_block(spec: ProcessSpec, pos, h, gen, nb):
         dw *= noise.eps * math.sqrt(h)
         jump = np.zeros((na, nb), dtype=bool)
     else:
-        t = sample_one_sided_stable(noise.alpha / 2.0, gen, size=na * nb).reshape(na, nb)
-        dw = gen.standard_normal(shape)
-        dw *= np.sqrt(2.0 * t)[:, :, None]
+        dw = sample_isotropic_stable(noise.alpha, shape[2], gen, size=na * nb).reshape(shape)
         jump = np.linalg.norm(dw, axis=2) > JUMP_MARK_FACTOR
         dw *= noise.sigma * h ** (1.0 / noise.alpha)
     if spec.noise_offset:  # the leading (clock) coordinates carry no noise

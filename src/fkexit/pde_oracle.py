@@ -354,13 +354,19 @@ def kernel_constant(d, alpha):
     return 4.0 ** (alpha / 2.0) * gamma_fn((d + alpha) / 2.0) / (math.pi ** (d / 2.0) * abs_gamma)
 
 
+# Gauss-Legendre nodes of the inner-ball and outer-panel radial quadratures,
+# and midpoint directions on the circle for d = 2
+_INNER_NODES = 220
+_PANEL_NODES = 48
+_ANGULAR_NODES = 64
+
+
 def _gauss_on(a, b, n):
     nodes, weights = np.polynomial.legendre.leggauss(n)
     return 0.5 * (b - a) * nodes + 0.5 * (a + b), 0.5 * (b - a) * weights
 
 
-def frac_laplacian(phi: TestFunction, x, alpha, outer_radius=64.0, tol=1e-9,
-                   inner_nodes=220, panel_nodes=48, angular_nodes=64, return_parts=False):
+def frac_laplacian(phi: TestFunction, x, alpha, outer_radius=64.0, tol=1e-9, return_parts=False):
     """Generator-signed fractional Laplacian -(-Lap)^(alpha/2) phi at x.
 
     Raises :class:`CutoffTooTight` when the analytic tail bound beyond the
@@ -374,7 +380,7 @@ def frac_laplacian(phi: TestFunction, x, alpha, outer_radius=64.0, tol=1e-9,
         dirs = np.array([[1.0], [-1.0]])
         sphere_measure = 2.0
     elif d == 2:
-        ang = (np.arange(angular_nodes) + 0.5) * (2 * math.pi / angular_nodes)
+        ang = (np.arange(_ANGULAR_NODES) + 0.5) * (2 * math.pi / _ANGULAR_NODES)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         sphere_measure = 2.0 * math.pi
     else:
@@ -396,7 +402,7 @@ def frac_laplacian(phi: TestFunction, x, alpha, outer_radius=64.0, tol=1e-9,
     tr_h = float(np.trace(phi.hessian(x)))
     inner = (sphere_measure * tr_h / (2.0 * d)) * r0 ** (2.0 - alpha) / (2.0 - alpha)
     p = 2.0 / (2.0 - alpha)
-    u, w = _gauss_on(r0 ** (1.0 / p), 1.0, inner_nodes)
+    u, w = _gauss_on(r0 ** (1.0 / p), 1.0, _INNER_NODES)
     r = u**p
     dr = p * u ** (p - 1.0)
     second_diff = sphere_sum(r) - sphere_measure * phi_x
@@ -408,7 +414,7 @@ def frac_laplacian(phi: TestFunction, x, alpha, outer_radius=64.0, tol=1e-9,
     a = 1.0
     while a < outer_radius:
         b = min(2.0 * a, outer_radius)
-        r, w = _gauss_on(a, b, panel_nodes)
+        r, w = _gauss_on(a, b, _PANEL_NODES)
         outer += float(np.sum(w * r ** (d - 1.0) * r ** (-d - alpha) * sphere_sum(r)))
         a = b
     phi_center = getattr(phi, "center", None)
@@ -595,9 +601,15 @@ def _default_slopes(u, x, d, scale):
                     v = grad.copy()
                     v[i] += delta
                     out.append(v)
-    except Exception:
+    except ValueError:  # the closed forms reject points off [0, 1]
         pass
     return out
+
+
+# admissibility lattice: points along one axis (split over the axes for d > 1)
+# and the padding beyond the bounding box, in units of its largest side
+_LATTICE_POINTS = 2001
+_LATTICE_PAD = 2.0
 
 
 def _local_cluster(x, span, d):
@@ -612,8 +624,7 @@ def _local_cluster(x, span, d):
     return np.concatenate([x + radii[:, None] * u_dir[None, :] for u_dir in dirs])
 
 
-def check_viscosity_point(u, problem, spec, x, mode="generalized", g_fn=None,
-                          lattice_points=2001, lattice_pad=2.0, tol=1e-3,
+def check_viscosity_point(u, problem, spec, x, mode="generalized", g_fn=None, tol=1e-3,
                           sides=("sub", "super")) -> ViscosityReport:
     """Search for violations of the viscosity inequalities of u at x.
 
@@ -662,11 +673,11 @@ def check_viscosity_point(u, problem, spec, x, mode="generalized", g_fn=None,
     # build the lattice and the extended envelopes
     lo, hi = domain.bounding_box()
     span = float(np.max(hi - lo))
-    pad = lattice_pad * span
+    pad = _LATTICE_PAD * span
     if d == 1:
-        axes = [np.linspace(lo[0] - pad, hi[0] + pad, lattice_points)]
+        axes = [np.linspace(lo[0] - pad, hi[0] + pad, _LATTICE_POINTS)]
     else:
-        per_axis = max(int(lattice_points ** (1.0 / d)), 41)
+        per_axis = max(int(_LATTICE_POINTS ** (1.0 / d)), 41)
         axes = [np.linspace(lo[i] - pad, hi[i] + pad, per_axis) for i in range(d)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     mesh = np.vstack([mesh, _local_cluster(x, span, d)])

@@ -86,18 +86,16 @@ def probe_regularity(spec: ProcessSpec, domain: Domain, x, windows=DEFAULT_WINDO
     return RegularityReport(x, probs, "none-applicable", cls)
 
 
-def classify_point(spec, domain, x, windows=DEFAULT_WINDOWS, n=2000, h=None, rng=0,
-                   rules_first=True) -> RegularityReport:
+def classify_point(spec, domain, x, windows=DEFAULT_WINDOWS, n=2000, h=None,
+                   rng=0) -> RegularityReport:
     """Cone rules first; fall back to Monte Carlo probing."""
-    if rules_first:
-        try:
-            rule = classify_by_cone_rules(spec, domain, x)
-        except NoConeData:
-            rule = "none-applicable"
-        if rule != "none-applicable":
-            return RegularityReport(np.atleast_1d(np.asarray(x, float)), [], rule, "regular")
-    rep = probe_regularity(spec, domain, x, windows, n, h, rng)
-    return rep
+    try:
+        rule = classify_by_cone_rules(spec, domain, x)
+    except NoConeData:
+        rule = "none-applicable"
+    if rule != "none-applicable":
+        return RegularityReport(np.atleast_1d(np.asarray(x, float)), [], rule, "regular")
+    return probe_regularity(spec, domain, x, windows, n, h, rng)
 
 
 def classify_boundary(spec: ProcessSpec, domain: Domain, n_points, windows=DEFAULT_WINDOWS,

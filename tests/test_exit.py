@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fkexit.engine import run_batch, run_single, segment_crossing
 from fkexit.errors import InvalidStart
 from fkexit.exit import (exit_coincidence, exit_point_avoidance, records_to_csv,
                          sample_exit)
-from fkexit.geometry import Ball, Cylinder, Interval, parabolic_rect
+from fkexit.geometry import Ball, Box, Cylinder, Interval, parabolic_rect
 from fkexit.levy import (BLOCK_STEPS, AffineDrift, BrownianNoise, ConstantDrift, NoNoise,
-                         ParabolicDrift, ProcessSpec, StableNoise, ZeroDrift, simulate_path)
+                         ParabolicDrift, ProcessSpec, StableNoise, ZeroDrift, lift_time,
+                         simulate_path)
 from fkexit.paths import exit_point, exit_time, step_path
 from fkexit.rng import RngStream
 
@@ -158,3 +161,55 @@ def test_segment_crossing_shapes():
     b3 = np.array([[1.2, 0.5]])
     s3, x3 = segment_crossing(Cylinder(1.0, Interval(0, 1)), a3, b3)
     assert s3[0] == pytest.approx(1.0 / 3.0) and x3[0, 0] == 1.0
+    # an end knot exactly on a face, as under stop="open", meets that face
+    s4, x4 = segment_crossing(Interval(0, 1), np.array([[0.5]]), np.array([[1.0]]))
+    assert s4[0] == 1.0 and x4[0, 0] == 1.0
+    s5, x5 = segment_crossing(Cylinder(1.0, Interval(-5, 5)),
+                              np.array([[0.75, 0.1]]), np.array([[1.0, 0.2]]))
+    assert s5[0] == 1.0 and x5[0, 0] == 1.0
+
+
+def test_open_stop_exits_on_the_cylinder_lid():
+    # the clock knots k h land exactly on T, outside the open cylinder, so
+    # every path leaves it there
+    spec = lift_time(ProcessSpec(ZeroDrift(1), BrownianNoise(0.1), 1))
+    res = run_batch(spec, Cylinder(1.0, Interval(-5, 5)), [0.0, 0.0], 0.25, 3.0, 4, 1,
+                    stop="open")
+    np.testing.assert_array_equal(res.zeta, 1.0)
+    assert not res.truncated.any()
+    np.testing.assert_array_equal(res.point[:, 0], 1.0)
+
+
+def boundary_level(domain, x):
+    """A level function of the domain: negative inside, zero on the boundary."""
+    if isinstance(domain, Box):
+        return np.max(np.maximum(domain.lo - x, x - domain.hi), axis=-1)
+    if isinstance(domain, Ball):
+        return np.linalg.norm(x - domain.center, axis=-1) - domain.radius
+    t = x[..., 0]
+    return np.maximum(np.maximum(-t, t - domain.T), boundary_level(domain.base, x[..., 1:]))
+
+
+CROSSING_SHAPES = [Box([-1.0, 0.0], [1.0, 2.5]), Ball([0.1, -0.4], 0.9),
+                   Cylinder(1.0, Interval(-1.0, 2.0)), Cylinder(2.0, Ball([0.0], 1.0))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CROSSING_SHAPES), st.data())
+def test_segment_crossing_lands_on_boundary(domain, data):
+    # a in the closure, b outside the open set; either may be snapped onto
+    # a face, so b sits exactly on the boundary in many examples
+    lo, hi = domain.bounding_box()
+    faces = domain.faces()
+
+    def point(u_lo, u_hi):
+        u = data.draw(st.lists(st.floats(u_lo, u_hi), min_size=domain.d, max_size=domain.d))
+        p = lo + np.array(u) * (hi - lo)
+        k = data.draw(st.integers(-1, len(faces) - 1))
+        return p if k < 0 else faces[k].snap(p)
+
+    a, b = point(0.0, 1.0), point(-1.0, 2.0)
+    assume(domain.contains(a, "closure") and not domain.contains(b, "open"))
+    s, x = segment_crossing(domain, a[None, :], b[None, :])
+    assert 0.0 <= s[0] <= 1.0
+    assert abs(boundary_level(domain, x[0])) <= 1e-12
