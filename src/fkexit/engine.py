@@ -5,10 +5,13 @@ draws from the Philox stream (seed, c).  The chunk size is part of the seed
 contract: results are bit-identical for any worker count because workers only
 split over chunks, never inside one.
 
-One driver advances a chunk in blocks of :data:`~fkexit.levy.BLOCK_STEPS`
-Euler steps, whose knots :func:`~fkexit.levy.euler_block` builds; the noisy
-branch of ``simulate_path`` advances through the same blocks, so a single
-trajectory matches its skeleton knot for knot.
+One driver advances a chunk in blocks of Euler steps, whose knots
+:func:`~fkexit.levy.euler_block` builds and whose lengths
+:func:`~fkexit.levy.block_steps` sets: 16 steps first, doubling per block up
+to a cap that grows as rows exit, so a path that exits at step 1 draws 16
+steps, not 128.  The noisy branch of ``simulate_path`` advances through the
+same schedule for one row, so a single trajectory matches its skeleton knot
+for knot.
 Within a step, drift/Brownian segments are treated as linear and their
 boundary crossing is the earliest closed-form crossing over the domain's
 faces (``Domain.faces()``; the engine keeps no shape geometry); an optional
@@ -35,10 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStep
+from .errors import ConfigError, DimensionMismatch, InvalidStart, InvalidStep
 from .functions import Constant, SpatialCost
 from .geometry import Box, Cylinder, Domain
-from .levy import BLOCK_STEPS, BrownianNoise, ProcessSpec, StableNoise, euler_block, simulate_path
+from .levy import (BrownianNoise, ProcessSpec, StableNoise, block_steps, euler_block,
+                   simulate_path)
 from .paths import evaluate, exit_time
 from .rng import RngStream
 
@@ -125,7 +129,8 @@ def _disc_trapezoid(l0, l1, t0, dt, lam):
 # ---------------------------------------------------------------------------
 # Stochastic chunk simulation.
 #
-# One driver advances the live rows of a chunk BLOCK_STEPS steps at a time:
+# One driver advances the live rows of a chunk one block at a time, block k
+# holding ``levy.block_steps(k, live rows, steps left)`` steps:
 # ``levy.euler_block`` builds the block's knots, then the driver finds each
 # row's first step out of the domain and resolves the exit within it.
 
@@ -236,10 +241,10 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge
     # is refined exactly; its spatial crossings stay knot-level
     lid_refine = stable and isinstance(domain, Cylinder) and spec.noise_offset >= 1
 
-    k0 = 0
+    k0 = k = 0
     while idx.size and k0 < n_steps:
-        nb = min(BLOCK_STEPS, n_steps - k0)
         na = idx.size
+        nb = block_steps(k, na, n_steps - k0)
         X, jmask = euler_block(spec, pos, h, gen, nb)
 
         exit_step = _first_outside(_member_block(domain, X, stop_mode))
@@ -338,6 +343,7 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge
         idx = idx[keep]
         pos = X[keep, nb]
         k0 += nb
+        k += 1
 
     truncated = np.isinf(zeta)
     steps[truncated] = n_steps
@@ -391,6 +397,9 @@ def _quadrature_cost(path, cost_fn, lam, t_stop):
 # Public entry points.
 
 
+STOP_RULES = ("closure", "open")
+
+
 def check_inputs(h, n=1):
     """Reject a step h that is not finite and positive, or a sample size n below 1."""
     if not (math.isfinite(h) and h > 0):
@@ -399,16 +408,39 @@ def check_inputs(h, n=1):
         raise ValueError(f"sample size n={n} must be a positive integer")
 
 
+def check_run(horizon, stop="closure"):
+    """Reject a horizon that is not finite and positive, or an unknown stopping rule."""
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise InvalidStep(f"horizon={horizon} must be a finite positive time, e.g. 20.0")
+    if stop not in STOP_RULES:
+        raise ConfigError(f"unknown stopping rule stop={stop!r}; use one of {STOP_RULES}")
+
+
+def check_start(spec, domain, x0):
+    """x0 as a float vector, after checking it and the spec against the domain."""
+    if spec.d != domain.d:
+        raise DimensionMismatch(f"the spec has d={spec.d} but the domain d={domain.d}; "
+                                "build both in the same dimension")
+    x0 = np.atleast_1d(np.asarray(x0, float))
+    if x0.shape != (spec.d,):
+        raise DimensionMismatch(f"start x0 has shape {x0.shape}; pass {spec.d} coordinates")
+    if not np.isfinite(x0).all():
+        raise InvalidStart(f"start x0={x0.tolist()} must have finite coordinates")
+    return x0
+
+
 def run_single(spec, domain, x0, h, horizon, stream: RngStream,
                lam=0.0, cost_fn=None, stop="closure", bridge=False):
     """One trajectory, bit-identical to ``simulate_path`` with the same stream."""
     check_inputs(h)
+    check_run(horizon, stop)
+    x0 = check_start(spec, domain, x0)
     if spec.is_deterministic:
         r = _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, stop)
         return _broadcast_result(r, 1, spec.d)
     n_steps = int(math.ceil(horizon / h - 1e-12))
-    return _run_chunk(spec, domain, np.atleast_1d(np.asarray(x0, float)), h, n_steps,
-                      stream.generator(), 1, lam, cost_fn, stop, bridge)
+    return _run_chunk(spec, domain, x0, h, n_steps, stream.generator(), 1,
+                      lam, cost_fn, stop, bridge)
 
 
 def _broadcast_result(r, n, d):
@@ -431,7 +463,8 @@ def run_batch(spec: ProcessSpec, domain: Domain, x0, h, horizon, n, seed,
               workers=1) -> BatchResult:
     """n first-exit trajectories with the fixed chunk/stream contract."""
     check_inputs(h, n)
-    x0 = np.atleast_1d(np.asarray(x0, float))
+    check_run(horizon, stop)
+    x0 = check_start(spec, domain, x0)
     if spec.is_deterministic:
         r = _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, stop)
         return _broadcast_result(r, n, spec.d)

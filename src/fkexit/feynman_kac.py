@@ -24,14 +24,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import check_inputs, run_batch
-from .errors import DegenerateP, FkexitError, InvalidStart
+from .engine import check_inputs, check_run, check_start, run_batch
+from .errors import ConfigError, DegenerateP, FkexitError, InvalidStart
 from .functions import ExpDistance, SpatialCost, TimeScaledCost, sup_on_box
 from .geometry import Cylinder, Domain
 from .levy import ProcessSpec, lift_time
 from .rng import derive_seed, effective_seed
 
 DEFAULT_HORIZON_DISCOUNTS = 20.0
+
+# exit_rule -> the engine's stopping rule; the entrance time stops like the open one
+EXIT_RULES = {"closure": "closure", "open": "open", "entrance": "open"}
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,8 @@ class DirichletProblem:
     discount: float
 
     def __post_init__(self):
-        if self.discount <= 0:
-            raise ValueError("discount must be positive")
+        if not (math.isfinite(self.discount) and self.discount > 0):
+            raise ValueError(f"discount={self.discount} must be a finite positive rate, e.g. 1.0")
 
     def horizon(self):
         return DEFAULT_HORIZON_DISCOUNTS / self.discount
@@ -88,17 +91,20 @@ def estimate_v(problem: DirichletProblem, spec: ProcessSpec, x0, h, n, rng,
     exactly g(x0) with zero error.
     """
     check_inputs(h, n)
+    if exit_rule not in EXIT_RULES:
+        raise ConfigError(f"unknown exit_rule={exit_rule!r}; use one of {tuple(EXIT_RULES)}")
+    stop = EXIT_RULES[exit_rule]
+    if horizon is None:
+        horizon = problem.horizon()
+    check_run(horizon, stop)
     seed = effective_seed(rng)
-    x0 = np.atleast_1d(np.asarray(x0, float))
+    x0 = check_start(spec, problem.domain, x0)
     lam = problem.discount
     g = problem.boundary_data
     if not problem.domain.contains(x0, "closure"):
         return _exact_estimate(g(x0), n, seed)
     if exit_rule == "entrance" and not problem.domain.contains(x0, "open"):
         return _exact_estimate(g(x0), n, seed)
-    if horizon is None:
-        horizon = problem.horizon()
-    stop = "open" if exit_rule in ("open", "entrance") else "closure"
     res = run_batch(spec, problem.domain, x0, h, horizon, n, seed,
                     lam=lam, cost_fn=SpatialCost(problem.running_cost),
                     stop=stop, bridge=True, workers=workers)
@@ -128,13 +134,14 @@ def estimate_discounted_exit(problem: DirichletProblem, spec: ProcessSpec, x0, h
     """Mean of exp(-lam zeta); truncated paths contribute the upper bound
     exp(-lam horizon) and are flagged in ``truncated_fraction``."""
     check_inputs(h, n)
+    if horizon is None:
+        horizon = problem.horizon()
+    check_run(horizon)
     seed = effective_seed(rng)
-    x0 = np.atleast_1d(np.asarray(x0, float))
+    x0 = check_start(spec, problem.domain, x0)
     lam = problem.discount
     if not problem.domain.contains(x0, "closure"):
         return _exact_estimate(1.0, n, seed)
-    if horizon is None:
-        horizon = problem.horizon()
     res = run_batch(spec, problem.domain, x0, h, horizon, n, seed,
                     lam=lam, cost_fn=None, bridge=True, workers=workers)
     F = np.exp(-lam * res.zeta)  # exp(-inf) = 0 for truncated rows
@@ -163,7 +170,9 @@ def estimate_v_nonstationary(problem: DirichletProblem, spec: ProcessSpec, t, x,
     cyl = problem.domain
     T = cyl.T
     t = float(t)
-    y0 = np.concatenate([[t], np.atleast_1d(np.asarray(x, float))])
+    if not math.isfinite(t):
+        raise InvalidStart(f"start time t={t} must be finite")
+    y0 = np.concatenate([[t], check_start(spec, cyl.base, x)])
     if not cyl.contains(y0, "closure"):
         return _exact_estimate(0.0, n, seed)
     if t >= T:

@@ -100,20 +100,6 @@ class ExpDistance(NamedFunction):
         return {"name": "exp-distance", "anchor": self.anchor.tolist(), "scale": self.scale}
 
 
-def function_from_config(cfg: dict) -> NamedFunction:
-    name = cfg.get("name")
-    if name == "constant":
-        return Constant(float(cfg["value"]))
-    if name == "zero":
-        return Zero()
-    if name == "gaussian":
-        return GaussianBump(np.asarray(cfg["center"], float),
-                            float(cfg["width"]), float(cfg.get("amplitude", 1.0)))
-    if name == "exp-distance":
-        return ExpDistance(np.asarray(cfg["anchor"], float), float(cfg.get("scale", 1.0)))
-    raise ValueError(f"unknown function {name!r}")
-
-
 def sup_on_box(fn, lo, hi):
     """Lattice sup of |fn| over an axis-aligned box (a bound for sane functions)."""
     lo = np.atleast_1d(np.asarray(lo, float))

@@ -29,9 +29,15 @@ from .rng import RngStream, as_stream
 # simulated paths; exact left-limit tests run on analytic paths.
 JUMP_MARK_FACTOR = 6.0
 
-# Euler steps per block: the engine and ``simulate_path`` advance a path this
-# many steps at a time.  Part of the reproducibility contract.
+# The block schedule (:func:`block_steps`): the engine and ``simulate_path``
+# advance a path in blocks of FIRST_BLOCK_STEPS Euler steps, doubling per
+# block up to max(BLOCK_STEPS, BLOCK_ELEMENTS // live rows).  Short first
+# blocks spare small batches, most of whose paths exit within a few steps;
+# the cap keeps a block within max(BLOCK_STEPS * rows, BLOCK_ELEMENTS) knots.
+# Part of the reproducibility contract.
+FIRST_BLOCK_STEPS = 16
 BLOCK_STEPS = 128
+BLOCK_ELEMENTS = 32768
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +329,19 @@ def _velocity(drift):
     return drift.velocity if isinstance(drift, ConstantDrift) else None
 
 
+def block_steps(k, na, left):
+    """Steps in block k of a chunk: min(16 * 2**k, max(128, 32768 // na), left).
+
+    ``na`` is the number of rows the block advances and ``left`` the steps
+    before the horizon; 16, 128 and 32768 are FIRST_BLOCK_STEPS, BLOCK_STEPS
+    and BLOCK_ELEMENTS.  The lengths depend on nothing else, so a chunk
+    draws the same stream whichever process runs it.
+    """
+    cap = max(BLOCK_STEPS, BLOCK_ELEMENTS // na)
+    # the doubling passes the cap within cap.bit_length() blocks
+    return min(FIRST_BLOCK_STEPS << min(k, cap.bit_length()), cap, left)
+
+
 def euler_block(spec: ProcessSpec, pos, h, gen, nb):
     """(na, nb + 1, d) knots of nb Euler steps from the rows of pos, and (na, nb) jump marks.
 
@@ -389,14 +408,17 @@ def simulate_path(spec: ProcessSpec, x0, h, horizon, rng) -> CadlagPath:
             points[k + 1] = _rk4_step(spec.drift, points[k], h)
         return linear_path(times, points)
 
-    # the engine's blocks, so its exits are this skeleton's exits
+    # the engine's blocks for one row, so its exits are this skeleton's exits
     gen = as_stream(rng).generator()
-    for k0 in range(0, n_steps, BLOCK_STEPS):
-        nb = min(BLOCK_STEPS, n_steps - k0)
+    k0 = k = 0
+    while k0 < n_steps:
+        nb = block_steps(k, 1, n_steps - k0)
         X, jump = euler_block(spec, points[k0:k0 + 1], h, gen, nb)
         points[k0 + 1:k0 + nb + 1] = X[0, 1:]
         for j in np.flatnonzero(jump[0]):
             jumps[k0 + int(j) + 1] = X[0, j] + spec.drift(X[0, j:j + 1])[0] * h
+        k0 += nb
+        k += 1
     return linear_path(times, points, jumps)
 
 

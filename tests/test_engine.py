@@ -3,18 +3,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fkexit import engine
-from fkexit.engine import run_batch, run_single
-from fkexit.errors import InvalidStep
-from fkexit.feynman_kac import (DirichletProblem, estimate_discounted_exit, estimate_v,
-                                estimate_v_nonstationary)
+from fkexit import engine, levy
+from fkexit.engine import CHUNK_SIZE, STOP_RULES, run_batch, run_single
+from fkexit.errors import ConfigError, DimensionMismatch, InvalidStart, InvalidStep
+from fkexit.feynman_kac import (EXIT_RULES, DirichletProblem, estimate_discounted_exit,
+                                estimate_v, estimate_v_nonstationary)
 from fkexit.functions import Constant, PathSpaceCost, SpatialCost, Zero
 from fkexit.geometry import Ball, Box, Cylinder, Interval
 from fkexit.levy import (AffineDrift, BrownianNoise, ConstantDrift, NoNoise, ProcessSpec,
-                         StableNoise, ZeroDrift, lift_time)
+                         StableNoise, ZeroDrift, block_steps, lift_time, simulate_path)
 from fkexit.pde_oracle import closed_form_v_eps
 from fkexit.rng import RngStream
 
@@ -72,6 +72,137 @@ def test_empty_sample_raises(n):
         for call in estimate_calls(spec, 1e-3, n):
             with pytest.raises(ValueError, match="positive integer"):
                 call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(BAD_STEPS)
+def test_non_positive_or_non_finite_horizon_raises(horizon):
+    for spec in (SPEC_BROWN, SPEC_DRIFT):
+        with pytest.raises(InvalidStep, match="horizon"):
+            run_batch(spec, Interval(0, 1), [0.5], 1e-3, horizon, 10, 1)
+        with pytest.raises(InvalidStep, match="horizon"):
+            run_single(spec, Interval(0, 1), [0.5], 1e-3, horizon, RngStream(1))
+        for x0 in ([0.5], [2.0]):
+            with pytest.raises(InvalidStep, match="horizon"):
+                estimate_v(PROB01, spec, x0, 1e-3, 10, 1, horizon=horizon)
+            with pytest.raises(InvalidStep, match="horizon"):
+                estimate_discounted_exit(PROB01, spec, x0, 1e-3, 10, 1, horizon=horizon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text().filter(lambda s: s not in STOP_RULES))
+def test_unknown_stop_rule_raises(stop):
+    for spec in (SPEC_BROWN, SPEC_DRIFT):
+        with pytest.raises(ConfigError, match="stopping rule"):
+            run_batch(spec, Interval(0, 1), [0.5], 1e-3, 1.0, 10, 1, stop=stop)
+        with pytest.raises(ConfigError, match="stopping rule"):
+            run_single(spec, Interval(0, 1), [0.5], 1e-3, 1.0, RngStream(1), stop=stop)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text().filter(lambda s: s not in EXIT_RULES))
+def test_unknown_exit_rule_raises(rule):
+    for spec in (SPEC_BROWN, SPEC_DRIFT):
+        for x0 in ([0.5], [2.0]):
+            with pytest.raises(ConfigError, match="exit_rule"):
+                estimate_v(PROB01, spec, x0, 1e-3, 10, 1, exit_rule=rule)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_non_finite_start_raises(bad):
+    for spec in (SPEC_BROWN, SPEC_DRIFT):
+        with pytest.raises(InvalidStart, match="finite"):
+            run_batch(spec, Interval(0, 1), [bad], 1e-3, 1.0, 10, 1)
+        with pytest.raises(InvalidStart, match="finite"):
+            run_single(spec, Interval(0, 1), [bad], 1e-3, 1.0, RngStream(1))
+        for call in (lambda: estimate_v(PROB01, spec, [bad], 1e-3, 10, 1),
+                     lambda: estimate_discounted_exit(PROB01, spec, [bad], 1e-3, 10, 1),
+                     lambda: estimate_v_nonstationary(PROB_CYL, spec, 0.0, [bad], 1e-3, 10, 1),
+                     lambda: estimate_v_nonstationary(PROB_CYL, spec, bad, [0.5], 1e-3, 10, 1)):
+            with pytest.raises(InvalidStart, match="finite"):
+                call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+def test_dimension_mismatch_raises(d_spec, d_domain, d_start):
+    assume(not d_spec == d_domain == d_start)
+    box = Box(np.zeros(d_domain), np.ones(d_domain))
+    x0 = np.full(d_start, 0.5)
+    prob = DirichletProblem(box, Constant(1.0), Zero(), 1.0)
+    for noise in (BrownianNoise(1.0), NoNoise()):
+        spec = ProcessSpec(ZeroDrift(d_spec), noise, d_spec)
+        for call in (lambda: run_batch(spec, box, x0, 1e-3, 1.0, 10, 1),
+                     lambda: run_single(spec, box, x0, 1e-3, 1.0, RngStream(1)),
+                     lambda: estimate_v(prob, spec, x0, 1e-3, 10, 1),
+                     lambda: estimate_discounted_exit(prob, spec, x0, 1e-3, 10, 1)):
+            with pytest.raises(DimensionMismatch):
+                call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(BAD_STEPS)
+def test_non_positive_or_non_finite_discount_raises(discount):
+    with pytest.raises(ValueError, match="discount"):
+        DirichletProblem(Interval(0, 1), Constant(1.0), Zero(), discount)
+
+
+# ---------------------------------------------------------------------------
+# Block schedule.
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3 * CHUNK_SIZE), st.integers(1, 10**6))
+def test_block_schedule(na, n_steps):
+    # 16 steps first, doubling up to max(128, 32768 // na), ending on the horizon
+    cap = max(128, 32768 // na)
+    lengths, done = [], 0
+    while done < n_steps:
+        lengths.append(block_steps(len(lengths), na, n_steps - done))
+        done += lengths[-1]
+    assert done == n_steps
+    assert lengths[0] == min(16, n_steps)
+    for k, nb in enumerate(lengths[:-1]):
+        assert nb == min(16 * 2**k, cap)
+    assert 1 <= lengths[-1] <= min(16 * 2 ** (len(lengths) - 1), cap)
+    assert max(lengths) * na <= max(128 * na, 32768)
+
+
+@pytest.mark.parametrize("spec,domain,x0", [
+    (SPEC_BROWN, Interval(0, 1), [0.5]),
+    (ProcessSpec(AffineDrift([[-3.0]], [2.0]), BrownianNoise(1.0), 1), Interval(0, 1), [0.5]),
+    (SPEC_BALL, Ball([0.0, 0.0], 1.0), [0.0, 0.0]),
+], ids=["brownian", "affine-drift", "stable"])
+def test_late_exit_single_path_matches_skeleton(spec, domain, x0, monkeypatch):
+    # exits after block 5 of the schedule: the engine's knots over six blocks
+    # of growing length are the skeleton's, bit for bit
+    h, horizon = 1e-4, 5.0
+    knots = []
+
+    def recording_block(*args):
+        X, jump = levy.euler_block(*args)
+        knots.append(X[0, 1:])
+        return X, jump
+
+    monkeypatch.setattr(engine, "euler_block", recording_block)
+    five_blocks = sum(block_steps(k, 1, 50_000) for k in range(5))  # 496
+    for sid in range(5):
+        knots.clear()
+        res = run_single(spec, domain, x0, h, horizon, RngStream(80, sid))
+        path = simulate_path(spec, x0, h, horizon, RngStream(80, sid))
+        built = np.concatenate(knots)
+        assert res.steps[0] > five_blocks and len(knots) > 5
+        np.testing.assert_array_equal(built, path.points[1:len(built) + 1])
+
+
+def test_worker_count_leaves_batch_unchanged():
+    # three chunks, the last of 7 paths; each chunk's schedule follows its own live rows
+    kw = dict(lam=1.0, cost_fn=SpatialCost(Flat(1.0)), bridge=True)
+    one, two = [run_batch(SPEC_BROWN, Interval(0, 1), [0.5], 1e-3, 20.0, 2 * CHUNK_SIZE + 7, 4,
+                          workers=w, **kw) for w in (1, 2)]
+    for f in EXIT_FIELDS + ("cost",):
+        assert getattr(one, f).tobytes() == getattr(two, f).tobytes(), f
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from fkexit.errors import InvalidStart
 from fkexit.exit import (exit_coincidence, exit_point_avoidance, records_to_csv,
                          sample_exit)
 from fkexit.geometry import Ball, Box, Cylinder, Interval, parabolic_rect
-from fkexit.levy import (BLOCK_STEPS, AffineDrift, BrownianNoise, ConstantDrift, NoNoise,
-                         ParabolicDrift, ProcessSpec, StableNoise, ZeroDrift, lift_time,
+from fkexit.levy import (AffineDrift, BrownianNoise, ConstantDrift, NoNoise, ParabolicDrift,
+                         ProcessSpec, StableNoise, ZeroDrift, block_steps, lift_time,
                          simulate_path)
 from fkexit.paths import exit_point, exit_time, step_path
 from fkexit.rng import RngStream
@@ -72,7 +72,7 @@ class TestEngineMatchesPathOperators:
 
     def test_state_dependent_drift_single_path(self):
         # b(x) = 2 - 3x is evaluated at each knot inside the engine's blocks;
-        # some paths exit after the first block
+        # some paths exit after the schedule's first three blocks (16 + 32 + 64 steps)
         spec = ProcessSpec(AffineDrift([[-3.0]], [2.0]), BrownianNoise(1.0), 1)
         dom = Interval(0, 1)
         steps = []
@@ -83,7 +83,7 @@ class TestEngineMatchesPathOperators:
             assert res.zeta[0] == pytest.approx(exit_time(path, dom, "closure-hit"), abs=1e-12)
             assert np.allclose(res.point[0], exit_point(path, dom, "closure-hit"), atol=1e-12)
             steps.append(res.steps[0])
-        assert max(steps) > BLOCK_STEPS
+        assert max(steps) > sum(block_steps(k, 1, 5000) for k in range(3))
 
     def test_stable_single_path_knot_semantics(self):
         # stable exits are recorded at knots; compare with the step-path view
