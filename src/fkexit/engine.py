@@ -5,7 +5,7 @@ draws from the Philox stream (seed, c).  The chunk size is part of the seed
 contract: results are bit-identical for any worker count because workers only
 split over chunks, never inside one.
 
-One driver advances a chunk in blocks of Euler steps, whose knots
+The blocked route advances a chunk in blocks of Euler steps, whose knots
 :func:`~fkexit.levy.euler_block` builds and whose lengths
 :func:`~fkexit.levy.block_steps` sets: 16 steps first, doubling per block up
 to a cap that grows as rows exit, so a path that exits at step 1 draws 16
@@ -21,10 +21,22 @@ and its landing point is the exit point (boundary data lives on the whole
 complement).  Paths stopped by the horizon keep their running cost integral
 and are flagged truncated.
 
+Where that bridge test is exact for any step length (Brownian noise on
+every axis, a state-independent drift, a box, ``bridge=True``, and no
+running cost or a constant one), a chunk takes a second route with no
+blocks: each path steps exactly, h 2^j at a time, the step growing with the
+distance to the nearest face (:func:`_run_dyadic`).  A step crosses a face
+when its end point does, or with the one-face bridge probability, at a
+crossing time drawn from its exact law.  So h is the route's smallest step,
+not a bias parameter: apart from treating the faces one at a time within a
+step, as the bridge test does, the exit law carries no step error.  Every
+other run takes the blocked route.
+
 A running cost that is a named constant (:class:`~fkexit.functions.Constant`
 behind :class:`~fkexit.functions.SpatialCost`) is integrated in closed form,
-c (1 - exp(-lam t)) / lam up to the stop time t, instead of step by step; the
-simulated paths and their random draws are the same either way.
+c (1 - exp(-lam t)) / lam up to the stop time t, instead of step by step; on
+the blocked route the simulated paths and their random draws are the same
+either way.
 
 Deterministic specs short-circuit to a single exact trajectory evaluated with
 the path operators and Gauss quadrature of the running cost.
@@ -38,11 +50,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, InvalidStart, InvalidStep
+from .errors import ConfigError, InvalidStep, check_inputs, check_start
 from .functions import Constant, SpatialCost
 from .geometry import Box, Cylinder, Domain
-from .levy import (BrownianNoise, ProcessSpec, StableNoise, block_steps, euler_block,
-                   simulate_path)
+from .levy import (BrownianNoise, ProcessSpec, StableNoise, _velocity, block_steps,
+                   euler_block, simulate_path)
 from .paths import evaluate, exit_time
 from .rng import RngStream
 
@@ -142,11 +154,21 @@ def _constant_cost(cost_fn):
     return None
 
 
+def _box_bridge(spec, domain, bridge):
+    """Whether a run bridges box faces: Brownian noise on every axis of a box."""
+    return (bridge and isinstance(domain, Box)
+            and isinstance(spec.noise, BrownianNoise) and spec.noise.eps > 0
+            and spec.noise_offset == 0)
+
+
 def _run_chunk(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge):
     c = _constant_cost(cost_fn)
     if c is not None:
         cost_fn = None
-    res = _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge)
+    if cost_fn is None and _velocity(spec.drift) is not None and _box_bridge(spec, domain, bridge):
+        res = _run_dyadic(spec, domain, x0, h, n_steps, gen, m)
+    else:
+        res = _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge)
     if c is not None:
         # integral of c exp(-lam s) over [0, t_stop], t_stop the exit or the horizon
         t_stop = np.where(res.truncated, res.steps * h, res.zeta)
@@ -234,9 +256,7 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge
 
     stable = isinstance(spec.noise, StableNoise) and spec.noise.sigma > 0
     stop_mode = "open" if stop == "open" else "closure"
-    use_bridge = (bridge and isinstance(domain, Box)
-                  and isinstance(spec.noise, BrownianNoise) and spec.noise.eps > 0
-                  and spec.noise_offset == 0)
+    use_bridge = _box_bridge(spec, domain, bridge)
     # the clock coordinate is deterministic, so a stable path's lid crossing
     # is refined exactly; its spatial crossings stay knot-level
     lid_refine = stable and isinstance(domain, Cylinder) and spec.noise_offset >= 1
@@ -351,6 +371,123 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge
 
 
 # ---------------------------------------------------------------------------
+# Exact dyadic steps of a constant-drift Brownian motion in a box.
+
+
+def _run_dyadic(spec, domain, x0, h, n_steps, gen, m):
+    """Exits of m paths that step exactly, h 2^j at a time, between the faces.
+
+    A row at distance delta from its nearest face takes the largest step
+    H = h 2^j with H <= (delta / (3 eps))^2, cut to a power of two that fits
+    in the steps left before n_steps, and draws its end point
+    a + v H + eps sqrt(H) Z.  A face at distances d0, d1 from the step's ends
+    is crossed when the end point is on it or beyond it, or else with the
+    one-face bridge probability exp(-2 d0 d1 / (eps^2 H)) (exponentials drawn
+    only where that exponent is below 45, as in :func:`_bridge_scan`), at a
+    time from :func:`_passage_times`.  The earliest crossed face is the exit.
+    """
+    eps = spec.noise.eps
+    v = _velocity(spec.drift)
+    faces = domain.faces()
+    zeta = np.full(m, np.inf)
+    pt = np.full((m, spec.d), np.nan)
+    steps = np.full(m, n_steps)
+    dist = np.array([f.distance(x0[None, :]) for f in faces])  # (faces, rows)
+    if dist.min() <= 0.0:  # a start on a face or outside exits at once
+        zeta[:] = 0.0
+        pt[:] = x0
+        steps[:] = 0
+        idx = np.arange(0)
+    else:
+        idx = np.arange(m)
+        pos = np.tile(x0, (m, 1))
+        k = np.zeros(m, dtype=np.int64)  # h-steps done
+        dist = np.repeat(dist, m, axis=1)
+    scale = 1.0 / (9.0 * eps * eps * h)  # (delta / (3 eps))^2 / h = scale delta^2
+    while idx.size:
+        # 2^j <= min(allowed steps, steps left): floor(log2) from the exponent
+        delta = dist.min(axis=0)
+        j = np.frexp(np.minimum(scale * (delta * delta), n_steps - k))[1] - 1
+        ns = np.left_shift(np.int64(1), np.maximum(j, 0))
+        H = ns * h
+        b = gen.standard_normal(pos.shape)
+        b *= eps * np.sqrt(H)[:, None]
+        b += pos + H[:, None] * v
+        d1 = np.array([f.distance(b) for f in faces])
+        crossed = d1 <= 0.0
+        z = dist * d1
+        z *= 2.0 / (eps * eps * H)
+        near = np.flatnonzero(~crossed & (z < 45.0))  # over (face, row)
+        crossed.reshape(-1)[near] = z.reshape(-1)[near] < gen.standard_exponential(near.size)
+        f_ix, r = np.nonzero(crossed)
+        live = k + ns < n_steps
+        if r.size:
+            t = np.full(dist.shape, np.inf)
+            t[f_ix, r] = _passage_times(dist[f_ix, r], np.abs(d1[f_ix, r]), H[r], eps, gen)
+            out = np.unique(r)
+            face_of = t[:, out].argmin(axis=0)
+            te = t[face_of, out]
+            g = idx[out]
+            zeta[g] = k[out] * h + te
+            pt[g] = _bridge_exit_points(faces, face_of, pos[out], b[out], dist[:, out],
+                                        te, H[out], eps, gen)
+            # the h-grid step that holds the exit
+            steps[g] = k[out] + np.minimum(np.ceil(te / h), ns[out]).astype(int)
+            live[out] = False
+        keep = np.flatnonzero(live)
+        idx, k = idx[keep], k[keep] + ns[keep]
+        pos, dist = b.take(keep, axis=0), d1.take(keep, axis=1)
+    return BatchResult(zeta, zeta.copy(), pt, pt.copy(), np.zeros(m, bool), np.isinf(zeta),
+                       steps, np.zeros(m))
+
+
+def _passage_times(d0, d1, H, eps, gen):
+    """First-passage times in (0, H] of Brownian bridges that reach a face.
+
+    Each bridge of length H starts at distance d0 > 0 from the face and ends
+    at distance d1 >= 0 from it, on either side.  Under u = t H / (H - t) the
+    bridge becomes a Brownian motion with drift, so u is inverse Gaussian
+    with mean d0 H / d1 and shape (d0 / eps)^2 (``gen.wald``'s law).  It is
+    drawn by Michael, Schucany & Haas (1976), with both roots written
+    directly as t: this form has no cancellation and stays exact for an end
+    point on the face (d1 = 0, an infinite mean).
+    """
+    p = (0.5 * eps * eps) * H * gen.standard_normal(len(d0)) ** 2 / d0
+    m = d1 + p + np.sqrt(p * (p + 2.0 * d1))
+    # the smaller u with probability m / (m + d1), else the larger one
+    small = gen.random(len(d0)) * (m + d1) <= m
+    return H * d0 / (d0 + np.where(small, m, d1 * d1 / m))
+
+
+def _bridge_exit_points(faces, face_of, a, b, dist, t, H, eps, gen):
+    """Points at the crossing times t of the steps a -> b of length H, on the faces face_of.
+
+    The other coordinates come from their Brownian bridges at time t, drawn
+    again until none has crossed its faces before t: each face at distances
+    d0 (from a) and dx (from the point) is crossed with probability
+    exp(-2 d0 dx / (eps^2 t)), as in the step's own test.
+    """
+    x = a.copy()
+    todo = np.arange(len(x) if x.shape[1] > 1 else 0)  # in 1-d the face fixes the point
+    if todo.size:
+        mean = a + (b - a) * (t / H)[:, None]
+        sd = eps * np.sqrt(t * (H - t) / H)
+        two_over_var = 2.0 / (eps * eps * t)
+    while todo.size:
+        x[todo] = mean[todo] + sd[todo, None] * gen.standard_normal((todo.size, x.shape[1]))
+        crossed = np.zeros(todo.size, bool)
+        for f, face in enumerate(faces):
+            z = two_over_var[todo] * dist[f, todo] * face.distance(x[todo])
+            near = np.flatnonzero((face_of[todo] != f) & (z < 45.0))
+            crossed[near] |= z[near] < gen.standard_exponential(near.size)
+        todo = todo[crossed]
+    for f, face in enumerate(faces):
+        on = face_of == f
+        x[on] = face.snap(x[on])
+    return x
+
+
+# ---------------------------------------------------------------------------
 # Deterministic short-circuit.
 
 
@@ -400,14 +537,6 @@ def _quadrature_cost(path, cost_fn, lam, t_stop):
 STOP_RULES = ("closure", "open")
 
 
-def check_inputs(h, n=1):
-    """Reject a step h that is not finite and positive, or a sample size n below 1."""
-    if not (math.isfinite(h) and h > 0):
-        raise InvalidStep(f"step h={h} must be a finite positive number, e.g. 1e-3")
-    if n < 1:
-        raise ValueError(f"sample size n={n} must be a positive integer")
-
-
 def check_run(horizon, stop="closure"):
     """Reject a horizon that is not finite and positive, or an unknown stopping rule."""
     if not (math.isfinite(horizon) and horizon > 0):
@@ -416,22 +545,13 @@ def check_run(horizon, stop="closure"):
         raise ConfigError(f"unknown stopping rule stop={stop!r}; use one of {STOP_RULES}")
 
 
-def check_start(spec, domain, x0):
-    """x0 as a float vector, after checking it and the spec against the domain."""
-    if spec.d != domain.d:
-        raise DimensionMismatch(f"the spec has d={spec.d} but the domain d={domain.d}; "
-                                "build both in the same dimension")
-    x0 = np.atleast_1d(np.asarray(x0, float))
-    if x0.shape != (spec.d,):
-        raise DimensionMismatch(f"start x0 has shape {x0.shape}; pass {spec.d} coordinates")
-    if not np.isfinite(x0).all():
-        raise InvalidStart(f"start x0={x0.tolist()} must have finite coordinates")
-    return x0
-
-
 def run_single(spec, domain, x0, h, horizon, stream: RngStream,
                lam=0.0, cost_fn=None, stop="closure", bridge=False):
-    """One trajectory, bit-identical to ``simulate_path`` with the same stream."""
+    """One trajectory; on the blocked route, bit-identical to ``simulate_path`` with the same stream.
+
+    A run that takes the exact dyadic route (see the module notes) draws its
+    steps differently, so it has no skeleton to match.
+    """
     check_inputs(h)
     check_run(horizon, stop)
     x0 = check_start(spec, domain, x0)

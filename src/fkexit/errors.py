@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input checks that raise them."""
+
+import math
+
+import numpy as np
 
 
 class FkexitError(Exception):
@@ -63,3 +67,28 @@ class SingularSystem(FkexitError):
 
 class ConfigError(FkexitError):
     """Invalid experiment configuration; message carries a remedy hint."""
+
+
+# ---------------------------------------------------------------------------
+# Input checks shared by the engine, the estimators and path simulation.
+
+
+def check_inputs(h, n=1):
+    """Reject a step h that is not finite and positive, or a sample size n below 1."""
+    if not (math.isfinite(h) and h > 0):
+        raise InvalidStep(f"step h={h} must be a finite positive number, e.g. 1e-3")
+    if n < 1:
+        raise ValueError(f"sample size n={n} must be a positive integer")
+
+
+def check_start(spec, domain, x0):
+    """x0 as a float vector, after checking it against the spec and, if given, the domain."""
+    if domain is not None and spec.d != domain.d:
+        raise DimensionMismatch(f"the spec has d={spec.d} but the domain d={domain.d}; "
+                                "build both in the same dimension")
+    x0 = np.atleast_1d(np.asarray(x0, float))
+    if x0.shape != (spec.d,):
+        raise DimensionMismatch(f"start x0 has shape {x0.shape}; pass {spec.d} coordinates")
+    if not np.isfinite(x0).all():
+        raise InvalidStart(f"start x0={x0.tolist()} must have finite coordinates")
+    return x0

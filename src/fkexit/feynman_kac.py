@@ -20,12 +20,14 @@ every estimate bit-for-bit at any worker count.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import check_inputs, check_run, check_start, run_batch
-from .errors import ConfigError, DegenerateP, FkexitError, InvalidStart
+from .engine import check_run, run_batch
+from .errors import (ConfigError, DegenerateP, FkexitError, InvalidStart, check_inputs,
+                     check_start)
 from .functions import ExpDistance, SpatialCost, TimeScaledCost, sup_on_box
 from .geometry import Cylinder, Domain
 from .levy import ProcessSpec, lift_time
@@ -35,6 +37,8 @@ DEFAULT_HORIZON_DISCOUNTS = 20.0
 
 # exit_rule -> the engine's stopping rule; the entrance time stops like the open one
 EXIT_RULES = {"closure": "closure", "open": "open", "entrance": "open"}
+
+ROUTES = ("direct", "lifted")
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,15 @@ def _summarize(values, n, seed, truncated):
     return MCEstimate(mean, se, n, seed, float(np.mean(truncated)))
 
 
+def _warn_truncated(est, horizon):
+    """Warn that paths stopped at the horizon before exiting bias the estimate."""
+    if est.truncated_fraction > 0:
+        warnings.warn(f"truncated_fraction={est.truncated_fraction:.4g}: that share of the "
+                      f"paths had not exited by the horizon {horizon:g}, so the estimate is "
+                      "biased; pass a longer horizon", RuntimeWarning, stacklevel=3)
+    return est
+
+
 def estimate_v(problem: DirichletProblem, spec: ProcessSpec, x0, h, n, rng,
                horizon=None, exit_rule="closure", workers=1) -> MCEstimate:
     """Feynman-Kac value at x0 from n simulated exits.
@@ -113,7 +126,7 @@ def estimate_v(problem: DirichletProblem, spec: ProcessSpec, x0, h, n, rng,
     if live.any():
         F[live] += np.exp(-lam * res.zeta[live]) * np.asarray(g(res.point[live]), float)
     _check_clamp(problem, F)
-    return _summarize(F, n, seed, res.truncated)
+    return _warn_truncated(_summarize(F, n, seed, res.truncated), horizon)
 
 
 def _check_clamp(problem, F):
@@ -146,7 +159,7 @@ def estimate_discounted_exit(problem: DirichletProblem, spec: ProcessSpec, x0, h
                     lam=lam, cost_fn=None, bridge=True, workers=workers)
     F = np.exp(-lam * res.zeta)  # exp(-inf) = 0 for truncated rows
     F[res.truncated] = math.exp(-lam * horizon)
-    return _summarize(F, n, seed, res.truncated)
+    return _warn_truncated(_summarize(F, n, seed, res.truncated), horizon)
 
 
 def estimate_v_nonstationary(problem: DirichletProblem, spec: ProcessSpec, t, x, h, n, rng,
@@ -166,6 +179,8 @@ def estimate_v_nonstationary(problem: DirichletProblem, spec: ProcessSpec, t, x,
     if not isinstance(problem.domain, Cylinder):
         raise InvalidStart("non-stationary estimation needs a cylinder domain")
     check_inputs(h, n)
+    if route not in ROUTES:
+        raise ConfigError(f"unknown route={route!r}; use one of {ROUTES}")
     seed = effective_seed(rng)
     cyl = problem.domain
     T = cyl.T
@@ -184,14 +199,12 @@ def estimate_v_nonstationary(problem: DirichletProblem, spec: ProcessSpec, t, x,
                         lam=0.0, cost_fn=SpatialCost(problem.running_cost),
                         workers=workers)
         F = res.cost
-    elif route == "lifted":
+    else:
         lam = problem.discount
         res = run_batch(lifted, cyl, y0, h, horizon, n, seed,
                         lam=lam, cost_fn=TimeScaledCost(problem.running_cost, lam),
                         workers=workers)
         F = math.exp(-lam * t) * res.cost
-    else:
-        raise ValueError(f"unknown route {route!r}")
     capped = res.truncated | (np.nan_to_num(res.point[:, 0], nan=-1.0) >= T - 1e-9)
     return _summarize(F, n, seed, capped)
 

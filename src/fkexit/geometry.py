@@ -58,9 +58,14 @@ class AxisFace:
         return p
 
     def snap(self, x):
+        """x (a point or an (m, d) batch) moved onto the face along its axis."""
         y = np.array(x, dtype=float)
-        y[self.axis] = self.value
+        y[..., self.axis] = self.value
         return y
+
+    def distance(self, x):
+        """Signed distance of the (m, d) points x to the face, positive on the domain's side."""
+        return self.side * (self.value - x[:, self.axis])
 
     def segment_crossing(self, a, b):
         """(s, x) of the (m, d) segments a -> b: the fraction in [0, 1] where each

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStep
+from .errors import InvalidStep, check_inputs, check_start
 from .paths import CadlagPath, ConstantVelocityFlow, Flow, ParabolicFlow, flow_path, linear_path
 from .rng import RngStream, as_stream
 
@@ -385,13 +385,10 @@ def simulate_path(spec: ProcessSpec, x0, h, horizon, rng) -> CadlagPath:
     by classical RK4 steps.  Noisy specs return a linear skeleton whose large
     stable increments are marked as jumps with their pre-jump drift endpoint.
     """
-    if h <= 0:
-        raise InvalidStep(f"step h={h} must be positive")
-    if horizon < h:
+    check_inputs(h)
+    if not horizon >= h:
         raise InvalidStep(f"horizon {horizon} shorter than one step {h}")
-    x0 = np.atleast_1d(np.asarray(x0, float))
-    if x0.size != spec.d:
-        raise ValueError(f"x0 has dimension {x0.size}, spec has {spec.d}")
+    x0 = check_start(spec, None, x0)
 
     flow = spec.flow_from(x0)
     if flow is not None:

@@ -1,15 +1,17 @@
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fkexit import engine, levy
 from fkexit.engine import CHUNK_SIZE, STOP_RULES, run_batch, run_single
 from fkexit.errors import ConfigError, DimensionMismatch, InvalidStart, InvalidStep
-from fkexit.feynman_kac import (EXIT_RULES, DirichletProblem, estimate_discounted_exit,
+from fkexit.feynman_kac import (EXIT_RULES, ROUTES, DirichletProblem, estimate_discounted_exit,
                                 estimate_v, estimate_v_nonstationary)
 from fkexit.functions import Constant, PathSpaceCost, SpatialCost, Zero
 from fkexit.geometry import Ball, Box, Cylinder, Interval
@@ -58,6 +60,8 @@ def test_non_positive_or_non_finite_step_raises(h):
             run_batch(spec, Interval(0, 1), [0.5], h, 1.0, 10, 1)
         with pytest.raises(InvalidStep, match="finite positive"):
             run_single(spec, Interval(0, 1), [0.5], h, 1.0, RngStream(1))
+        with pytest.raises(InvalidStep, match="finite positive"):
+            simulate_path(spec, [0.5], h, 1.0, RngStream(1))
         for call in estimate_calls(spec, h, 10):
             with pytest.raises(InvalidStep, match="finite positive"):
                 call()
@@ -108,6 +112,16 @@ def test_unknown_exit_rule_raises(rule):
                 estimate_v(PROB01, spec, x0, 1e-3, 10, 1, exit_rule=rule)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.text().filter(lambda s: s not in ROUTES))
+def test_unknown_route_raises(route):
+    # inside, outside and after T: the last two have an exact answer of 0
+    for spec in (SPEC_BROWN, SPEC_DRIFT):
+        for t, x in ((0.0, [0.5]), (0.0, [2.0]), (1.5, [0.5])):
+            with pytest.raises(ConfigError, match="route"):
+                estimate_v_nonstationary(PROB_CYL, spec, t, x, 1e-3, 10, 1, route=route)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([math.nan, math.inf, -math.inf]))
 def test_non_finite_start_raises(bad):
@@ -116,7 +130,8 @@ def test_non_finite_start_raises(bad):
             run_batch(spec, Interval(0, 1), [bad], 1e-3, 1.0, 10, 1)
         with pytest.raises(InvalidStart, match="finite"):
             run_single(spec, Interval(0, 1), [bad], 1e-3, 1.0, RngStream(1))
-        for call in (lambda: estimate_v(PROB01, spec, [bad], 1e-3, 10, 1),
+        for call in (lambda: simulate_path(spec, [bad], 1e-3, 1.0, RngStream(1)),
+                     lambda: estimate_v(PROB01, spec, [bad], 1e-3, 10, 1),
                      lambda: estimate_discounted_exit(PROB01, spec, [bad], 1e-3, 10, 1),
                      lambda: estimate_v_nonstationary(PROB_CYL, spec, 0.0, [bad], 1e-3, 10, 1),
                      lambda: estimate_v_nonstationary(PROB_CYL, spec, bad, [0.5], 1e-3, 10, 1)):
@@ -139,6 +154,9 @@ def test_dimension_mismatch_raises(d_spec, d_domain, d_start):
                      lambda: estimate_discounted_exit(prob, spec, x0, 1e-3, 10, 1)):
             with pytest.raises(DimensionMismatch):
                 call()
+        if d_start != d_spec:
+            with pytest.raises(DimensionMismatch):
+                simulate_path(spec, x0, 1e-3, 1.0, RngStream(1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,6 +164,22 @@ def test_dimension_mismatch_raises(d_spec, d_domain, d_start):
 def test_non_positive_or_non_finite_discount_raises(discount):
     with pytest.raises(ValueError, match="discount"):
         DirichletProblem(Interval(0, 1), Constant(1.0), Zero(), discount)
+
+
+def test_truncation_warns():
+    # eps = 1e-3 from the middle of (0, 1): no path exits by the horizon 1
+    spec = ProcessSpec(ZeroDrift(1), BrownianNoise(1e-3), 1)
+    with pytest.warns(RuntimeWarning, match=r"truncated_fraction=1: .* horizon 1\b"):
+        est = estimate_v(PROB01, spec, [0.5], 1e-3, 100, 1, horizon=1.0)
+    assert est.truncated_fraction == 1.0
+    assert est.mean == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+    with pytest.warns(RuntimeWarning, match=r"truncated_fraction=1: .* horizon 1\b"):
+        est = estimate_discounted_exit(PROB01, spec, [0.5], 1e-3, 100, 1, horizon=1.0)
+    assert est.truncated_fraction == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (estimate_v, estimate_discounted_exit):
+            assert call(PROB01, SPEC_BROWN, [0.5], 1e-3, 100, 1).truncated_fraction == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +231,99 @@ def test_late_exit_single_path_matches_skeleton(spec, domain, x0, monkeypatch):
 
 
 def test_worker_count_leaves_batch_unchanged():
-    # three chunks, the last of 7 paths; each chunk's schedule follows its own live rows
-    kw = dict(lam=1.0, cost_fn=SpatialCost(Flat(1.0)), bridge=True)
-    one, two = [run_batch(SPEC_BROWN, Interval(0, 1), [0.5], 1e-3, 20.0, 2 * CHUNK_SIZE + 7, 4,
-                          workers=w, **kw) for w in (1, 2)]
-    for f in EXIT_FIELDS + ("cost",):
-        assert getattr(one, f).tobytes() == getattr(two, f).tobytes(), f
+    # three chunks, the last of 7 paths; on the blocked route (a Flat cost) each
+    # chunk's schedule follows its own live rows, and a Constant cost takes
+    # the exact dyadic route
+    for fn in (Flat(1.0), Constant(1.0)):
+        kw = dict(lam=1.0, cost_fn=SpatialCost(fn), bridge=True)
+        one, two = [run_batch(SPEC_BROWN, Interval(0, 1), [0.5], 1e-3, 20.0, 2 * CHUNK_SIZE + 7,
+                              4, workers=w, **kw) for w in (1, 2)]
+        for f in EXIT_FIELDS + ("cost",):
+            assert getattr(one, f).tobytes() == getattr(two, f).tobytes(), f
+
+
+# ---------------------------------------------------------------------------
+# Exact dyadic steps: constant drift, Brownian noise, a box, the bridge test,
+# and no cost or a Constant one.
+
+
+@pytest.mark.parametrize("h", [1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("x", [0.1, 0.5, 0.9])
+def test_dyadic_mean_exit_time_matches_closed_form(x, h):
+    # E_x tau of dX = dt + dW on (0, 1) solves u' + u''/2 = -1, u(0) = u(1) = 0;
+    # the route has no step bias, so h only sets the floor step
+    n = 20_000
+    res = run_batch(SPEC_BROWN, Interval(0, 1), [x], h, 20.0, n, 31 + int(100 * x),
+                    bridge=True)
+    assert not res.truncated.any()
+    exact = (1.0 - math.exp(-2.0 * x)) / (1.0 - math.exp(-2.0)) - x
+    se = res.zeta.std(ddof=1) / math.sqrt(n)
+    assert abs(res.zeta.mean() - exact) <= 4.0 * se
+    # steps index the h-grid step that holds the exit
+    np.testing.assert_array_equal(res.steps, np.ceil(res.zeta / h - 1e-9).astype(int))
+    np.testing.assert_array_equal(res.zeta_hat, res.zeta)
+
+
+def test_dyadic_box_matches_blocked_route_in_law():
+    # the affine twin of a constant drift takes the blocked route at a fine step
+    box = Box([0.0, 0.0], [1.0, 0.8])
+    v, eps, x0, n = [0.5, -0.3], 0.7, [0.3, 0.5], 10_000
+    coarse = run_batch(ProcessSpec(ConstantDrift(v), BrownianNoise(eps), 2), box, x0, 1e-2,
+                       20.0, n, 12, bridge=True)
+    fine = run_batch(ProcessSpec(AffineDrift(np.zeros((2, 2)), v), BrownianNoise(eps), 2), box,
+                     x0, 1e-4, 20.0, n, 13, bridge=True)
+    assert not (coarse.truncated.any() or fine.truncated.any())
+    assert box.on_boundary(coarse.point).all()
+    for f in (lambda r: np.exp(-r.zeta), lambda r: r.point[:, 0], lambda r: r.point[:, 1]):
+        a, b = f(coarse), f(fine)
+        se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(n)
+        assert abs(a.mean() - b.mean()) <= 4.0 * se + 2e-3
+
+
+@pytest.mark.parametrize("domain,x0", [
+    (Interval(0, 1), [0.0]), (Interval(0, 1), [1.0]), (Interval(0, 1), [1.5]),
+    (Interval(0, 1), [-0.2]), (Box([0.0, 0.0], [1.0, 0.8]), [0.5, 0.8]),
+    (Box([0.0, 0.0], [1.0, 0.8]), [0.0, 0.8]), (Box([0.0, 0.0], [1.0, 0.8]), [0.5, -1.0]),
+])
+def test_dyadic_start_on_face_or_outside_exits_at_once(domain, x0):
+    spec = ProcessSpec(ConstantDrift(np.ones(domain.d)), BrownianNoise(1.0), domain.d)
+    res = run_batch(spec, domain, x0, 1e-3, 5.0, 50, 3, lam=1.0,
+                    cost_fn=SpatialCost(Constant(2.0)), bridge=True)
+    for f in ("zeta", "zeta_hat", "steps", "cost"):
+        np.testing.assert_array_equal(getattr(res, f), 0, err_msg=f)
+    np.testing.assert_array_equal(res.point, np.tile(x0, (50, 1)))
+    assert not (res.truncated.any() or res.via_jump.any())
+
+
+@pytest.mark.parametrize("d0,d1,H,eps", [
+    (0.03, 0.01, 1e-3, 1.0), (0.01, 0.05, 1e-2, 0.7), (0.2, 1e-3, 0.5, 1.0), (1e-3, 2.0, 1e-2, 1.0),
+])
+def test_passage_times_match_wald_reference(d0, d1, H, eps):
+    # t = u H / (H + u) with u ~ gen.wald(d0 H / d1, (d0 / eps)^2), in law
+    n = 100_000
+    t = engine._passage_times(np.full(n, d0), np.full(n, d1), np.full(n, H), eps,
+                              np.random.default_rng(1))
+    u = np.random.default_rng(2).wald(d0 * H / d1, (d0 / eps) ** 2, n)
+    assert 0.0 < t.min() and t.max() <= H
+    assert scipy.stats.ks_2samp(t, H * u / (H + u)).pvalue > 1e-3
+
+
+def test_passage_times_on_the_face_follow_levy_law():
+    # d1 = 0: u = d0^2 / (eps^2 N^2), the first passage of a driftless motion
+    n, d0, H, eps = 100_000, 0.02, 1e-3, 0.5
+    t = engine._passage_times(np.full(n, d0), np.zeros(n), np.full(n, H), eps,
+                              np.random.default_rng(3))
+    u = d0 ** 2 / (eps ** 2 * np.random.default_rng(4).standard_normal(n) ** 2)
+    assert scipy.stats.ks_2samp(t, H * u / (H + u)).pvalue > 1e-3
+
+
+def test_dyadic_horizon_beyond_int32_steps():
+    # eps = 1e-3 from the middle: every path runs to the horizon of 3e9 steps,
+    # one dyadic step per binary digit of 3e9, the first of 2^31 of them
+    spec = ProcessSpec(ZeroDrift(1), BrownianNoise(1e-3), 1)
+    res = run_batch(spec, Interval(0, 1), [0.5], 1e-9, 3.0, 20, 5, bridge=True)
+    assert res.truncated.all()
+    np.testing.assert_array_equal(res.steps, 3_000_000_000)
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +358,16 @@ def assert_same_exits_and_cost(closed, general):
     np.testing.assert_allclose(closed.cost, general.cost, rtol=1e-14, atol=0.0)
 
 
+# A Constant cost on SPEC_BROWN takes the exact dyadic route and a Flat one does
+# not; the affine twin of the same process keeps both on the blocked route,
+# so they run on the same paths.
+SPEC_BROWN_AFFINE = ProcessSpec(AffineDrift([[0.0]], [1.0]), BrownianNoise(1.0), 1)
+
+
 @pytest.mark.parametrize("spec,domain,x0,h", [
-    (SPEC_BROWN, Interval(0, 1), [0.5], 1e-4),
-    (SPEC_BROWN, Interval(0, 1), [0.5], 1e-3),
-    (SPEC_BROWN, Interval(0, 1), [0.5], 1e-2),
+    (SPEC_BROWN_AFFINE, Interval(0, 1), [0.5], 1e-4),
+    (SPEC_BROWN_AFFINE, Interval(0, 1), [0.5], 1e-3),
+    (SPEC_BROWN_AFFINE, Interval(0, 1), [0.5], 1e-2),
     (SPEC_BALL, Ball([0.0, 0.0], 1.0), [0.0, 0.0], 1e-3),
 ], ids=["brownian-1e-4", "brownian-1e-3", "brownian-1e-2", "stable-ball-1e-3"])
 def test_closed_form_cost_blocked_kernel(spec, domain, x0, h):
@@ -254,7 +381,7 @@ def test_closed_form_cost_blocked_kernel(spec, domain, x0, h):
 
 def test_closed_form_cost_loop_kernel():
     for stream_id in range(3):
-        runs = [run_single(SPEC_BROWN, Interval(0, 1), [0.3], 1e-4, 20.0,
+        runs = [run_single(SPEC_BROWN_AFFINE, Interval(0, 1), [0.3], 1e-4, 20.0,
                            RngStream(9, stream_id), lam=1.0, cost_fn=SpatialCost(fn),
                            bridge=True)
                 for fn in (Constant(1.0), Flat(1.0))]
@@ -272,7 +399,7 @@ def test_closed_form_cost_stable_cylinder_direct_route():
 
 
 def test_closed_form_cost_truncated_paths():
-    closed, general = [run_batch(SPEC_BROWN, Interval(0, 1), [0.5], 1e-4, 0.05, 1000, 8,
+    closed, general = [run_batch(SPEC_BROWN_AFFINE, Interval(0, 1), [0.5], 1e-4, 0.05, 1000, 8,
                                  lam=1.0, cost_fn=SpatialCost(fn), bridge=True)
                        for fn in (Constant(1.0), Flat(1.0))]
     assert closed.truncated.any() and not closed.truncated.all()

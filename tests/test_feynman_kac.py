@@ -83,7 +83,8 @@ class TestDiscountedExit:
 
     def test_truncated_surrogate(self):
         spec = ProcessSpec(ConstantDrift([0.0]), NoNoise(), 1)
-        est = estimate_discounted_exit(PROB, spec, [0.5], 1e-3, 10, 3, horizon=2.0)
+        with pytest.warns(RuntimeWarning, match="truncated_fraction=1"):
+            est = estimate_discounted_exit(PROB, spec, [0.5], 1e-3, 10, 3, horizon=2.0)
         assert est.truncated_fraction == 1.0
         assert est.mean == pytest.approx(math.exp(-2.0))
 
