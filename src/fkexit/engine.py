@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidStep, check_inputs, check_start
-from .functions import Constant, SpatialCost
+from .functions import Constant, SpatialCost, gauss_legendre
 from .geometry import Box, Cylinder, Domain
 from .levy import (BrownianNoise, ProcessSpec, StableNoise, _velocity, block_steps,
                    euler_block, simulate_path)
@@ -510,7 +510,7 @@ def _quadrature_cost(path, cost_fn, lam, t_stop):
     if t_stop <= 0:
         return 0.0
     if path.kind == "flow":
-        nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+        nodes, weights = gauss_legendre(_GAUSS_NODES)
         t = 0.5 * t_stop * (nodes + 1.0)
         w = 0.5 * t_stop * weights
         vals = cost_fn(path.flow.eval(t))

@@ -9,10 +9,15 @@ Cost functions used inside the simulation engine take the simulated state
 alone, ``f(points)``; :class:`SpatialCost` adapts a named function and
 :class:`TimeScaledCost` applies the exp(lam * t) reweighting used when a
 non-stationary problem is folded into a stationary one.
+
+:func:`gauss_legendre` holds the Gauss-Legendre rules shared by the engine's
+deterministic cost quadrature and :mod:`fkexit.pde_oracle`; it lives in this
+numpy-only module so that importing the engine does not import scipy.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,3 +142,21 @@ class TimeScaledCost:
     def __call__(self, y):
         y = np.asarray(y, float)
         return np.exp(self.lam * y[..., 0]) * np.asarray(self.fn(y), float)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre rules.
+
+
+@functools.cache
+def gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    ``leggauss`` solves an n x n eigenproblem on every call, so each rule is
+    built once per process, on first use.  Every caller gets the same two
+    arrays, so they are read-only: map them to an interval into new arrays.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights

@@ -40,7 +40,8 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import solve_banded
 from scipy.special import gamma as gamma_fn
 
-from .errors import CutoffTooTight, SingularSystem
+from .errors import ConfigError, CutoffTooTight, SingularSystem
+from .functions import gauss_legendre
 from .geometry import Domain, parabolic_rect
 from .levy import BrownianNoise, NoNoise, ProcessSpec, StableNoise
 
@@ -362,19 +363,22 @@ _ANGULAR_NODES = 64
 
 
 def _gauss_on(a, b, n):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = gauss_legendre(n)
     return 0.5 * (b - a) * nodes + 0.5 * (a + b), 0.5 * (b - a) * weights
 
 
 def frac_laplacian(phi: TestFunction, x, alpha, outer_radius=64.0, tol=1e-9, return_parts=False):
     """Generator-signed fractional Laplacian -(-Lap)^(alpha/2) phi at x.
 
-    Raises :class:`CutoffTooTight` when the analytic tail bound beyond the
-    outer cutoff exceeds ``tol``.
+    Raises :class:`ConfigError` for an alpha outside (0, 2) or a point with a
+    non-finite coordinate, and :class:`CutoffTooTight` when the analytic tail
+    bound beyond the outer cutoff exceeds ``tol``.
     """
     if not 0 < alpha < 2:
-        raise ValueError("alpha must lie in (0, 2)")
+        raise ConfigError(f"alpha={alpha} must lie in (0, 2), e.g. 1.5")
     x = np.atleast_1d(np.asarray(x, float))
+    if not np.isfinite(x).all():
+        raise ConfigError(f"point x={x.tolist()} must have finite coordinates")
     d = x.size
     if d == 1:
         dirs = np.array([[1.0], [-1.0]])
@@ -624,20 +628,31 @@ def _local_cluster(x, span, d):
     return np.concatenate([x + radii[:, None] * u_dir[None, :] for u_dir in dirs])
 
 
+VISCOSITY_MODES = ("strong", "generalized", "nonstationary")
+VISCOSITY_SIDES = ("sub", "super")
+
+
 def check_viscosity_point(u, problem, spec, x, mode="generalized", g_fn=None, tol=1e-3,
-                          sides=("sub", "super")) -> ViscosityReport:
+                          sides=VISCOSITY_SIDES) -> ViscosityReport:
     """Search for violations of the viscosity inequalities of u at x.
 
     ``u`` is any callable on points (a :class:`GridFunction` or a closed
     form).  ``mode`` selects the boundary handling: ``strong`` checks the raw
     data condition at boundary points, ``generalized`` the relaxed min/max
     form, ``nonstationary`` treats the domain as a cylinder with zero data.
+    ``sides`` names the inequalities to test, one or both of "sub" and
+    "super"; an unknown mode or side raises :class:`ConfigError`.
     ``g_fn`` overrides the default G (e.g. the HJB form with the gradient
     power term).  Admissibility of each candidate test function (global
     domination of the extended solution) is verified on a lattice whose
     spacing is reported in ``notes``; a clean result means "no counterexample
     among the admissible candidates", nothing stronger.
     """
+    if mode not in VISCOSITY_MODES:
+        raise ConfigError(f"unknown viscosity mode {mode!r}; use one of {list(VISCOSITY_MODES)}")
+    if not sides or not all(side in VISCOSITY_SIDES for side in sides):
+        raise ConfigError(f"sides={sides!r} must be a non-empty collection of "
+                          f"{list(VISCOSITY_SIDES)}, e.g. ('sub', 'super')")
     x = np.atleast_1d(np.asarray(x, float))
     domain = problem.domain
     d = x.size

@@ -98,6 +98,17 @@ def test_viscosity_check_json(tmp_path):
     assert doc[0]["violations"][0]["kind"] == "boundary-data"
 
 
+def test_viscosity_unknown_mode_is_config_error(tmp_path, capsys):
+    cfg = {"experiment": "viscosity-check",
+           "params": {"target": "v0", "mode": "generalised", "points": [0.5]},
+           "output": {"path": "v.json"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "unknown viscosity mode 'generalised'" in capsys.readouterr().err
+    assert not (tmp_path / "v.json").exists()
+
+
 def test_unknown_experiment_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         run({"experiment": "nope"}, out_dir=str(tmp_path))

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fkexit.errors import CutoffTooTight
+from fkexit.errors import ConfigError, CutoffTooTight
 from fkexit.feynman_kac import DirichletProblem
-from fkexit.functions import Constant, Zero
+from fkexit.functions import Constant, Zero, gauss_legendre
 from fkexit.geometry import Interval
 from fkexit.levy import (BrownianNoise, ConstantDrift, NoNoise, ProcessSpec, StableNoise,
                          ZeroDrift, sample_isotropic_stable)
@@ -164,6 +164,46 @@ class TestFracLaplacian:
     def test_kernel_constant_alpha_one(self):
         assert kernel_constant(1, 1.0) == pytest.approx(1.0 / math.pi, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), 0.0, -0.5, 2.0, 2.5])
+    def test_alpha_outside_range_is_config_error(self, alpha):
+        phi = GaussPolyBump(np.array([0.0]), 0.5, 1.0)
+        with pytest.raises(ConfigError, match="must lie in"):
+            frac_laplacian(phi, [0.1], alpha)
+
+    @pytest.mark.parametrize("x", [[float("nan")], [float("inf")], [0.1, float("-inf")]])
+    def test_non_finite_point_is_config_error(self, x):
+        phi = GaussPolyBump(np.zeros(len(x)), 0.5, 1.0)
+        with pytest.raises(ConfigError, match="finite"):
+            frac_laplacian(phi, x, 1.5)
+
+    @pytest.mark.parametrize("center,x", [([0.3], [0.1]), ([0.0, 0.1], [0.2, 0.3])])
+    def test_repeated_calls_equal(self, center, x):
+        phi = GaussPolyBump(np.array(center), 0.5, 1.0)
+        assert frac_laplacian(phi, x, 1.5) == frac_laplacian(phi, x, 1.5)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [48, 96, 220])
+    def test_cached_rule_equals_leggauss(self, n):
+        nodes, weights = gauss_legendre(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+        assert gauss_legendre(n)[0] is nodes  # built once, then shared
+
+    def test_cached_rule_is_read_only(self):
+        nodes, weights = gauss_legendre(48)
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights *= 2.0
+
+    def test_mapped_rule_does_not_alias_cache(self):
+        from fkexit.pde_oracle import _gauss_on
+
+        nodes, weights = gauss_legendre(48)
+        r, w = _gauss_on(-1.0, 1.0, 48)
+        assert not np.shares_memory(r, nodes) and not np.shares_memory(w, weights)
+
 
 class TestGenerator:
     def test_drift_touch_value(self):
@@ -265,3 +305,13 @@ class TestViscosityChecker:
         rep = check_viscosity_point(bad, PROB, SPEC0, [0.5], mode="generalized",
                                     sides=("super",))
         assert not rep.passed  # flat subtests certify G = 0.2 - 1 < 0
+
+    @pytest.mark.parametrize("x", [0.0, 0.5])
+    def test_unknown_mode_is_config_error(self, x):
+        with pytest.raises(ConfigError, match="generalized"):
+            check_viscosity_point(self.u0, PROB, SPEC0, [x], mode="bogus")
+
+    @pytest.mark.parametrize("sides", [("sup",), (), "sub", ("sub", "supper")])
+    def test_unknown_sides_is_config_error(self, sides):
+        with pytest.raises(ConfigError, match="super"):
+            check_viscosity_point(self.u0, PROB, SPEC0, [0.5], sides=sides)
