@@ -201,6 +201,22 @@ def _first_outside(inside):
     return first
 
 
+def _first_outside_closure(domain, X, first_open):
+    """Per row, the first step whose knot leaves the closure, from the first open misses.
+
+    The closure holds the open set, so a row leaves it at its first open
+    miss unless that knot lies on the boundary; only such rows are scanned
+    again.
+    """
+    exit_step = first_open.copy()
+    rows = np.flatnonzero(first_open < X.shape[1] - 1)
+    if rows.size:
+        rows = rows[domain.contains(X[rows, first_open[rows] + 1], "closure")]
+    if rows.size:
+        exit_step[rows] = _first_outside(_member_block(domain, X[rows], "closure"))
+    return exit_step
+
+
 def _bridge_scan(X, domain, half_var, gen, exit_step, bridge_exit, face_axis, face_val):
     """Brownian-bridge face crossings of the block's steps, in place on the row arrays.
 
@@ -255,11 +271,16 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge
     open_found = np.zeros(m, bool)
 
     stable = isinstance(spec.noise, StableNoise) and spec.noise.sigma > 0
-    stop_mode = "open" if stop == "open" else "closure"
     use_bridge = _box_bridge(spec, domain, bridge)
     # the clock coordinate is deterministic, so a stable path's lid crossing
     # is refined exactly; its spatial crossings stay knot-level
     lid_refine = stable and isinstance(domain, Cylinder) and spec.noise_offset >= 1
+    # a knot can sit in the closure but outside the open set only for jump
+    # dynamics or on a cylinder lid; Brownian segments in a convex domain
+    # touch the boundary exactly when they cross it
+    scan_open = stop == "open" or stable or isinstance(domain, Cylinder)
+    if cost_fn is not None:
+        w0, w1 = _trap_weights(h, lam)
 
     k0 = k = 0
     while idx.size and k0 < n_steps:
@@ -267,7 +288,13 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge
         nb = block_steps(k, na, n_steps - k0)
         X, jmask = euler_block(spec, pos, h, gen, nb)
 
-        exit_step = _first_outside(_member_block(domain, X, stop_mode))
+        if scan_open:
+            first_open = _first_outside(_member_block(domain, X, "open"))
+            exit_step = (first_open if stop == "open"
+                         else _first_outside_closure(domain, X, first_open))
+        else:
+            first_open = np.full(na, nb)
+            exit_step = _first_outside(_member_block(domain, X, "closure"))
         bridge_exit = np.zeros(na, bool)
         bridge_face_axis = np.zeros(na, dtype=int)
         bridge_face_val = np.zeros(na)
@@ -313,13 +340,6 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge
 
         if stop == "closure":
             nf = ~open_found[idx]
-            # a knot can sit in the closure but outside the open set only for
-            # jump dynamics or on a cylinder lid; Brownian segments in a convex
-            # domain touch the boundary exactly when they cross it
-            if stable or isinstance(domain, Cylinder):
-                first_open = _first_outside(_member_block(domain, X, "open"))
-            else:
-                first_open = np.full(na, nb)
             touch = nf & (first_open < exit_step)
             if touch.any():
                 g = idx[touch]
@@ -336,7 +356,6 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge
 
         if cost_fn is not None:
             lv = np.asarray(cost_fn(X), float)
-            w0, w1 = _trap_weights(h, lam)
             contrib = lv[:, :-1] * w0 + (lv[:, 1:] - lv[:, :-1]) * w1
             if lam != 0.0:
                 contrib *= np.exp(-lam * (k0 + np.arange(nb)) * h)[None, :]

@@ -8,9 +8,13 @@ matching symbol |xi|^alpha, so the generator of ``dX = b dt + sigma dJ`` is
 exactly ``b . grad - |sigma|^alpha (-Lap)^(alpha/2)``.  Cross-module agreement
 is asserted by test, not assumed.
 
-Isotropic vectors are sampled by Gaussian subordination: X = sqrt(2 T) Z with
-Z standard normal and T a positive (alpha/2)-stable variate with Laplace
-transform exp(-s^(alpha/2)), drawn by Kanter's method.
+One-dimensional draws use the Chambers-Mallows-Stuck transform of one
+uniform angle and one exponential.  Isotropic vectors in d >= 2 are sampled
+by Gaussian subordination: X = sqrt(2 T) Z with Z standard normal and T a
+positive (alpha/2)-stable variate with Laplace transform exp(-s^(alpha/2)),
+drawn by Kanter's method.  Euler blocks follow the same split: a spec with
+one noisy axis draws its increments by Chambers-Mallows-Stuck, one draw per
+step, and a spec with more draws them by subordination.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStep, check_inputs, check_start
+from .errors import ConfigError, InvalidStep, check_inputs, check_start
 from .paths import CadlagPath, ConstantVelocityFlow, Flow, ParabolicFlow, flow_path, linear_path
 from .rng import RngStream, as_stream
 
@@ -181,8 +185,8 @@ class BrownianNoise:
     kind = "brownian"
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ConfigError(f"Brownian eps={self.eps} must be a finite number >= 0, e.g. 1.0")
 
     def to_config(self):
         return {"kind": "brownian", "eps": self.eps}
@@ -196,10 +200,10 @@ class StableNoise:
 
     def __post_init__(self):
         if not 0 < self.alpha < 2:
-            raise ValueError("alpha must lie strictly in (0, 2); the Brownian "
-                             "case is a separate noise kind")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+            raise ConfigError(f"stable alpha={self.alpha} must lie strictly in (0, 2), e.g. "
+                              "1.5; the Brownian case alpha = 2 is BrownianNoise")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ConfigError(f"stable sigma={self.sigma} must be a finite number >= 0, e.g. 1.0")
 
     def to_config(self):
         return {"kind": "stable", "alpha": self.alpha, "sigma": self.sigma}
@@ -345,35 +349,48 @@ def block_steps(k, na, left):
 def euler_block(spec: ProcessSpec, pos, h, gen, nb):
     """(na, nb + 1, d) knots of nb Euler steps from the rows of pos, and (na, nb) jump marks.
 
-    The one knot builder, for a noisy spec.  Noise is drawn first (stable
-    increments by :func:`sample_isotropic_stable`); a state-independent drift
-    step is added to every increment before one cumulative sum, any other
-    drift is evaluated at each knot in turn: ``x + (b(x) h + dW)``.
+    The one knot builder, for a noisy spec.  Noise is drawn first: stable
+    increments on one noisy axis by :func:`sample_symmetric_stable_1d`, on
+    more by :func:`sample_isotropic_stable`.  A state-independent drift step
+    is added to every increment and each coordinate's knots are their
+    cumulative sums (a noiseless clock coordinate shares one sum over all
+    rows); any other drift is evaluated at each knot in turn:
+    ``x + (b(x) h + dW)``.
     """
     noise = spec.noise
     na, d = pos.shape
-    shape = (na, nb, d - spec.noise_offset)
+    off = spec.noise_offset  # the leading (clock) coordinates carry no noise
+    shape = (na, nb, d - off)
     if isinstance(noise, BrownianNoise):
         dw = gen.standard_normal(shape)
         dw *= noise.eps * math.sqrt(h)
         jump = np.zeros((na, nb), dtype=bool)
     else:
-        dw = sample_isotropic_stable(noise.alpha, shape[2], gen, size=na * nb).reshape(shape)
-        jump = np.linalg.norm(dw, axis=2) > JUMP_MARK_FACTOR
+        if shape[2] == 1:  # the exact 1-d law, one draw per step
+            dw = sample_symmetric_stable_1d(noise.alpha, gen, size=na * nb).reshape(shape)
+            jump = np.abs(dw[:, :, 0]) > JUMP_MARK_FACTOR
+        else:
+            dw = sample_isotropic_stable(noise.alpha, shape[2], gen, size=na * nb).reshape(shape)
+            jump = np.linalg.norm(dw, axis=2) > JUMP_MARK_FACTOR
         dw *= noise.sigma * h ** (1.0 / noise.alpha)
-    if spec.noise_offset:  # the leading (clock) coordinates carry no noise
-        dw = np.concatenate([np.zeros((na, nb, spec.noise_offset)), dw], axis=2)
     X = np.empty((na, nb + 1, d))
     X[:, 0] = pos
     v = _velocity(spec.drift)
     if v is not None:
-        dw += v * h
-        np.cumsum(dw, axis=1, out=dw)
-        dw += pos[:, None, :]
-        X[:, 1:] = dw
+        vh = v * h
+        for i in range(d):
+            if i < off:
+                X[:, 1:, i] = np.cumsum(np.full(nb, 0.0 + vh[i])) + pos[:, i, None]
+            else:
+                c = dw[:, :, i - off] + vh[i]
+                np.cumsum(c, axis=1, out=c)
+                c += pos[:, i, None]
+                X[:, 1:, i] = c
     else:
         for j in range(nb):
-            X[:, j + 1] = X[:, j] + (spec.drift(X[:, j]) * h + dw[:, j])
+            step = spec.drift(X[:, j]) * h
+            step[:, off:] += dw[:, j]
+            np.add(X[:, j], step, out=X[:, j + 1])
     return X, jump
 
 

@@ -433,8 +433,11 @@ def shift(path: CadlagPath, h) -> CadlagPath:
     if path.kind == "flow":
         return flow_path(path.flow.shifted(h))
     keep = path.times > h + _TIME_TOL
+    # a knot within the tolerance after h is taken as at h, so a jump there is kept
+    near = np.flatnonzero(~keep & (path.times > h))
+    start = path.points[near[-1]] if near.size else evaluate(path, h)
     new_times = np.concatenate([[0.0], path.times[keep] - h])
-    new_points = np.vstack([evaluate(path, h).reshape(1, -1), path.points[keep]])
+    new_points = np.vstack([start.reshape(1, -1), path.points[keep]])
     offset = int(np.argmax(keep)) if keep.any() else len(path.times)
     new_jumps = {}
     for k, pre in path.jumps.items():

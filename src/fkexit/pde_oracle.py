@@ -655,6 +655,9 @@ def check_viscosity_point(u, problem, spec, x, mode="generalized", g_fn=None, to
                           f"{list(VISCOSITY_SIDES)}, e.g. ('sub', 'super')")
     x = np.atleast_1d(np.asarray(x, float))
     domain = problem.domain
+    if not domain.contains(x, "closure"):  # also a point with a NaN coordinate
+        raise ConfigError(f"query point x={x.tolist()} lies outside the closed domain; "
+                          "pass a finite point of its closure")
     d = x.size
     g_data = problem.boundary_data
     if g_fn is None:
@@ -663,9 +666,6 @@ def check_viscosity_point(u, problem, spec, x, mode="generalized", g_fn=None, to
 
     u_x = float(u(x))
     interior = bool(domain.contains(x, "open"))
-    on_closure = bool(domain.contains(x, "closure"))
-    if not on_closure:
-        raise ValueError("query point must lie in the closed domain")
 
     g_x = float(np.asarray(g_data(x.reshape(1, -1)), float)[0])
     if not interior:

@@ -109,6 +109,34 @@ def test_viscosity_unknown_mode_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "v.json").exists()
 
 
+def test_viscosity_point_off_domain_is_config_error(tmp_path, capsys):
+    cfg = {"experiment": "viscosity-check",
+           "params": {"target": "v0", "mode": "generalized", "points": [2.0]},
+           "output": {"path": "v.json"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "outside the closed domain" in capsys.readouterr().err
+    assert not (tmp_path / "v.json").exists()
+
+
+@pytest.mark.parametrize("params,match", [
+    ({"alpha": 2.5}, "alpha=2.5"),
+    ({"alpha": 0.0}, "alpha=0.0"),
+    ({"alpha": math.nan}, "alpha=nan"),
+    ({"sigma": -1.0}, "sigma=-1.0"),
+    ({"sigma": math.inf}, "sigma=inf"),
+])
+def test_fractional_hjb_bad_noise_is_config_error(tmp_path, capsys, params, match):
+    cfg = {"experiment": "fractional-hjb", "params": {"nt": 1, "nx": 1, **params},
+           "mc": {"n": 10, "h": 1e-2, "seed": 1}, "output": {"path": "f.csv"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert match in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_unknown_experiment_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         run({"experiment": "nope"}, out_dir=str(tmp_path))

@@ -243,6 +243,45 @@ def test_worker_count_leaves_batch_unchanged():
 
 
 # ---------------------------------------------------------------------------
+# One membership scan: the closure is tested at each row's first open miss,
+# and scanned again only where that knot lies on the boundary.
+
+FIRST_OUTSIDE_CLOSURE = engine._first_outside_closure
+
+
+def two_scan_closure_exit(domain, X, first_open):
+    """Reference: each row's first step out of the closure, from a scan of the whole block."""
+    return engine._first_outside(engine._member_block(domain, X, "closure"))
+
+
+@pytest.mark.parametrize("spec,domain,x0", [
+    (lift_time(ProcessSpec(ZeroDrift(1), StableNoise(1.5, 1.0), 1)),
+     Cylinder(1.0, Ball([0.0], 1.0)), [0.0, 0.3]),
+    (lift_time(SPEC_BALL), Cylinder(1.0, Ball([0.0, 0.0], 1.0)), [0.0, 0.3, 0.0]),
+], ids=["lifted-d1", "lifted-d2"])
+def test_closure_exit_from_first_open_miss_matches_two_scans(spec, domain, x0, monkeypatch):
+    # h = 0.25 puts the fourth clock knot exactly on the lid t = T = 1: in the
+    # closure but outside the open set
+    kw = dict(lam=1.0, cost_fn=SpatialCost(Flat(1.0)))
+    rescanned = []
+
+    def recording(domain, X, first_open):
+        exit_step = FIRST_OUTSIDE_CLOSURE(domain, X, first_open)
+        rescanned.append(int(np.count_nonzero(exit_step > first_open)))
+        return exit_step
+
+    monkeypatch.setattr(engine, "_first_outside_closure", recording)
+    one = run_batch(spec, domain, x0, 0.25, 1.5, 2000, 7, **kw)
+    monkeypatch.setattr(engine, "_first_outside_closure", two_scan_closure_exit)
+    two = run_batch(spec, domain, x0, 0.25, 1.5, 2000, 7, **kw)
+    assert sum(rescanned) > 0
+    on_lid = one.zeta_hat == 1.0
+    assert on_lid.any() and (one.zeta[on_lid] == 1.0).all()
+    for f in EXIT_FIELDS + ("cost",):
+        assert getattr(one, f).tobytes() == getattr(two, f).tobytes(), f
+
+
+# ---------------------------------------------------------------------------
 # Exact dyadic steps: constant drift, Brownian noise, a box, the bridge test,
 # and no cost or a Constant one.
 

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from fkexit.errors import InvalidStep
-from fkexit.levy import (BrownianNoise, ConstantDrift, NoNoise, ParabolicDrift,
-                         ProcessSpec, StableNoise, TimeAugmentedDrift, ZeroDrift,
-                         lift_time, sample_isotropic_stable, sample_one_sided_stable,
-                         sample_symmetric_stable_1d, simulate_path, spec_from_config)
+from fkexit.errors import ConfigError, InvalidStep
+from fkexit.levy import (JUMP_MARK_FACTOR, BrownianNoise, ConstantDrift, NoNoise,
+                         ParabolicDrift, ProcessSpec, StableNoise, TimeAugmentedDrift,
+                         ZeroDrift, euler_block, lift_time, sample_isotropic_stable,
+                         sample_one_sided_stable, sample_symmetric_stable_1d, simulate_path,
+                         spec_from_config)
 from fkexit.paths import evaluate, exit_time, exit_time_left
 from fkexit.rng import RngStream
 
@@ -149,3 +152,109 @@ def test_spec_config_round_trip():
     back = spec_from_config(spec.to_config())
     assert np.allclose(back.drift.velocity, spec.drift.velocity)
     assert back.noise == spec.noise and back.d == 2
+
+
+# ---------------------------------------------------------------------------
+# Noise parameters.
+
+BAD_ALPHAS = st.one_of(st.floats(max_value=0.0), st.floats(min_value=2.0),
+                       st.sampled_from([math.nan, -math.inf]))
+BAD_SCALES = st.one_of(st.floats(max_value=0.0, exclude_max=True),
+                       st.sampled_from([math.nan, math.inf]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(BAD_ALPHAS)
+def test_stable_alpha_outside_range_is_config_error(alpha):
+    with pytest.raises(ConfigError, match=r"strictly in \(0, 2\)"):
+        StableNoise(alpha, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(BAD_SCALES)
+def test_negative_or_non_finite_noise_scale_is_config_error(scale):
+    with pytest.raises(ConfigError, match="finite number >= 0"):
+        StableNoise(1.5, scale)
+    with pytest.raises(ConfigError, match="finite number >= 0"):
+        BrownianNoise(scale)
+
+
+def test_noise_parameter_edges_are_accepted():
+    assert StableNoise(1e-3, 0.0).sigma == 0.0
+    assert StableNoise(1.999, 2.0).alpha == 1.999
+    assert BrownianNoise(0.0).eps == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Euler blocks.
+
+ALPHAS = (0.5, 1.0, 1.5)
+
+
+def one_axis_stable(alpha, sigma=0.7):
+    """The d = 1 stable spec and its time-lifted twin: one noisy axis each."""
+    spec = ProcessSpec(ZeroDrift(1), StableNoise(alpha, sigma), 1)
+    return {"d1": spec, "lifted": lift_time(spec)}
+
+
+@pytest.mark.parametrize("route", ["d1", "lifted"])
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_one_axis_stable_block_increments_follow_the_stable_law(alpha, route):
+    spec = one_axis_stable(alpha)[route]
+    h, na, nb = 1e-2, 25_000, 8
+    pos = np.zeros((na, spec.d))
+    X, _ = euler_block(spec, pos, h, RngStream(60, int(10 * alpha)).generator(), nb)
+    s = (np.diff(X[:, :, -1], axis=1) / (spec.noise.sigma * h ** (1.0 / alpha))).ravel()
+    n = s.size
+    for u in (0.5, 1.0, 2.0):
+        c = np.cos(u * s)
+        assert abs(c.mean() - math.exp(-u**alpha)) <= 3 * c.std() / math.sqrt(n), u
+    ref = sample_isotropic_stable(alpha, 1, RngStream(61, int(10 * alpha)), size=n)[:, 0]
+    assert stats.ks_2samp(s, ref).pvalue > 1e-3
+    if route == "lifted":  # the clock advances by h per step, the same for every row
+        np.testing.assert_array_equal(X[:, 1:, 0], np.broadcast_to(np.cumsum(np.full(nb, h)),
+                                                                   (na, nb)))
+
+
+@pytest.mark.parametrize("route", ["d1", "lifted"])
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_one_axis_stable_jump_marks_are_the_large_draws(alpha, route):
+    spec = one_axis_stable(alpha)[route]
+    na, nb = 500, 64
+    _, jump = euler_block(spec, np.zeros((na, spec.d)), 1e-3, RngStream(62).generator(), nb)
+    redrawn = sample_symmetric_stable_1d(alpha, RngStream(62).generator(), size=na * nb)
+    np.testing.assert_array_equal(jump, (np.abs(redrawn) > JUMP_MARK_FACTOR).reshape(na, nb))
+    assert jump.any()
+
+
+def summed_block(spec, pos, h, gen, nb):
+    """Reference knots of a constant-drift spec: pos + cumsum(v h + noise), all axes at once."""
+    noise, (na, d) = spec.noise, pos.shape
+    shape = (na, nb, d - spec.noise_offset)
+    if isinstance(noise, BrownianNoise):
+        dw = gen.standard_normal(shape) * (noise.eps * math.sqrt(h))
+    else:
+        if shape[2] == 1:
+            dw = sample_symmetric_stable_1d(noise.alpha, gen, size=na * nb).reshape(shape)
+        else:
+            dw = sample_isotropic_stable(noise.alpha, shape[2], gen, size=na * nb).reshape(shape)
+        dw *= noise.sigma * h ** (1.0 / noise.alpha)
+    dw = np.concatenate([np.zeros((na, nb, spec.noise_offset)), dw], axis=2)
+    dw += spec.drift(pos[:1])[0] * h
+    X = np.empty((na, nb + 1, d))
+    X[:, 0] = pos
+    X[:, 1:] = np.cumsum(dw, axis=1) + pos[:, None, :]
+    return X
+
+
+@pytest.mark.parametrize("spec", [
+    ProcessSpec(ConstantDrift([0.7, -1.3]), BrownianNoise(0.9), 2),
+    ProcessSpec(ConstantDrift([0.7, -1.3]), StableNoise(1.5, 0.8), 2),
+    lift_time(ProcessSpec(ConstantDrift([-0.4]), StableNoise(1.2, 1.0), 1)),
+    lift_time(ProcessSpec(ConstantDrift([0.7, -1.3]), StableNoise(0.7, 1.0), 2)),
+], ids=["brownian-d2", "stable-d2", "lifted-stable-d2", "lifted-stable-d3"])
+def test_constant_drift_block_is_the_cumulative_sum(spec):
+    h, na, nb = 1e-3, 300, 40
+    pos = RngStream(63).generator().uniform(-1.0, 1.0, (na, spec.d))
+    X, _ = euler_block(spec, pos, h, RngStream(64).generator(), nb)
+    np.testing.assert_array_equal(X, summed_block(spec, pos, h, RngStream(64).generator(), nb))

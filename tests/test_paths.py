@@ -150,6 +150,16 @@ class TestShift:
             assert sh and np.allclose(evaluate(sh, t), evaluate(p, t + 0.3))
 
 
+    def test_shift_to_just_before_a_jump_keeps_the_jump(self):
+        # the knot at t = 4 lies within the knot tolerance after h, so the
+        # shifted path starts at its post-jump value and exits at once
+        p = linear_path([0, 1, 2, 3, 4], [[0], [0], [0], [0], [2]], jumps={4: [0.0]})
+        dom = Interval(-0.5, 1.5)
+        h = 0.9999999999999999 * 4.0
+        assert exit_time(p, dom, "closure-hit") == 4.0
+        assert exit_time(shift(p, h), dom, "closure-hit") == pytest.approx(4.0 - h, abs=1e-9)
+
+
 class TestDiscontinuitySequence:
     def test_approximants_exit_early(self):
         # the limiting path exits the closed interval at 1, its approximants

@@ -311,6 +311,11 @@ class TestViscosityChecker:
         with pytest.raises(ConfigError, match="generalized"):
             check_viscosity_point(self.u0, PROB, SPEC0, [x], mode="bogus")
 
+    @pytest.mark.parametrize("x", [-0.1, 2.0, math.nan])
+    def test_point_off_closed_domain_is_config_error(self, x):
+        with pytest.raises(ConfigError, match="outside the closed domain"):
+            check_viscosity_point(self.u0, PROB, SPEC0, [x], mode="generalized")
+
     @pytest.mark.parametrize("sides", [("sup",), (), "sub", ("sub", "supper")])
     def test_unknown_sides_is_config_error(self, sides):
         with pytest.raises(ConfigError, match="super"):
