@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateP, FkexitError
+from .errors import ConfigError, DegenerateP, FkexitError, require_key
 from .feynman_kac import (DirichletProblem, attainment_witness, estimate_v,
                           estimate_v_nonstationary)
 from .functions import Constant, Zero
@@ -55,12 +55,6 @@ def _write_artifact(path, header_lines, body):
         for line in header_lines:
             f.write("# " + line + "\n")
         f.write(body)
-
-
-def _require(cfg, key, hint):
-    if key not in cfg:
-        raise ConfigError(f"missing config key {key!r}; {hint}")
-    return cfg[key]
 
 
 def _mc_params(cfg, defaults):
@@ -130,8 +124,8 @@ def _spec_and_domain(params):
     else:
         raise ConfigError('params.spec is required, e.g. {"drift": {"name": "constant", '
                           '"velocity": [1.0]}, "noise": {"kind": "none"}, "d": 1}')
-    domain = domain_from_config(_require(params, "domain",
-                                         'e.g. {"shape": "interval", "a": 0, "b": 1}'))
+    domain = domain_from_config(require_key(params, "domain",
+                                            'e.g. {"shape": "interval", "a": 0, "b": 1}'))
     return spec, domain
 
 
@@ -240,8 +234,7 @@ _MC_DEFAULTS = {
 
 def run(config, workers=1, out_dir="."):
     """Execute one experiment config; returns the artifact path."""
-    name = _require(config, "experiment",
-                    f"choose one of {sorted(EXPERIMENTS)}")
+    name = require_key(config, "experiment", f"choose one of {sorted(EXPERIMENTS)}")
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose one of {sorted(EXPERIMENTS)}")
     params = config.get("params", {})

@@ -73,6 +73,13 @@ class ConfigError(FkexitError):
 # Input checks shared by the engine, the estimators and path simulation.
 
 
+def require_key(cfg, key, hint):
+    """cfg[key], or a ConfigError that names the missing key and how to add it."""
+    if key not in cfg:
+        raise ConfigError(f"missing config key {key!r}; {hint}")
+    return cfg[key]
+
+
 def check_inputs(h, n=1):
     """Reject a step h that is not finite and positive, or a sample size n below 1."""
     if not (math.isfinite(h) and h > 0):

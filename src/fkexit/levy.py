@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidStep, check_inputs, check_start
+from .errors import ConfigError, InvalidStep, check_inputs, check_start, require_key
 from .paths import CadlagPath, ConstantVelocityFlow, Flow, ParabolicFlow, flow_path, linear_path
 from .rng import RngStream, as_stream
 
@@ -153,18 +153,25 @@ class TimeAugmentedDrift(DriftField):
 
 
 def drift_from_config(cfg: dict) -> DriftField:
+    """Drift named by ``cfg["name"]``; ConfigError for an unknown name or a missing key."""
     name = cfg.get("name")
+
+    def key(k, example):
+        return require_key(cfg, k, f"drift {name!r} needs it, e.g. {example}")
+
     if name == "constant":
-        return ConstantDrift(np.asarray(cfg["velocity"], float))
+        return ConstantDrift(np.asarray(key("velocity", '"velocity": [1.0]'), float))
     if name == "zero":
-        return ZeroDrift(int(cfg["d"]))
+        return ZeroDrift(int(key("d", '"d": 1')))
     if name == "affine":
-        return AffineDrift(np.asarray(cfg["A"], float), np.asarray(cfg["c"], float))
+        return AffineDrift(np.asarray(key("A", '"A": [[-1.0]]'), float),
+                           np.asarray(key("c", '"c": [0.0]'), float))
     if name == "parabolic":
         return ParabolicDrift()
     if name == "time-augmented":
-        return TimeAugmentedDrift(drift_from_config(cfg["base"]))
-    raise ValueError(f"unknown drift {name!r}")
+        return TimeAugmentedDrift(drift_from_config(key("base", '"base": {"name": "zero"}')))
+    raise ConfigError(f"unknown drift {name!r}; use one of "
+                      "['constant', 'zero', 'affine', 'parabolic', 'time-augmented']")
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +217,19 @@ class StableNoise:
 
 
 def noise_from_config(cfg: dict):
+    """Noise of kind ``cfg["kind"]``; ConfigError for an unknown kind or a missing key."""
     kind = cfg.get("kind")
+
+    def key(k, example):
+        return float(require_key(cfg, k, f"noise kind {kind!r} needs it, e.g. {example}"))
+
     if kind == "none":
         return NoNoise()
     if kind == "brownian":
-        return BrownianNoise(float(cfg["eps"]))
+        return BrownianNoise(key("eps", '"eps": 1.0'))
     if kind == "stable":
-        return StableNoise(float(cfg["alpha"]), float(cfg["sigma"]))
-    raise ValueError(f"unknown noise kind {kind!r}")
+        return StableNoise(key("alpha", '"alpha": 1.5'), key("sigma", '"sigma": 1.0'))
+    raise ConfigError(f"unknown noise kind {kind!r}; use one of ['none', 'brownian', 'stable']")
 
 
 @dataclass(frozen=True)

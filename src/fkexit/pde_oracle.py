@@ -33,7 +33,7 @@ as a certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -195,8 +195,32 @@ class TestFunction:
         raise NotImplementedError
 
 
+class _PolyBump(TestFunction):
+    """(a + l.y + y.diag(q).y) * envelope(y), y = x - center.
+
+    Bumps of one family share center, amplitude and envelope and differ only
+    in the tilts ``lin`` and ``quad``, so the viscosity checker evaluates a
+    family on its lattice as one array from a single ``envelope`` pass.
+    """
+
+    @property
+    def d(self):
+        return self.center.size
+
+    def envelope(self, y):
+        """Envelope factor at the rows of y (offsets from the center)."""
+        raise NotImplementedError
+
+    def __call__(self, x):
+        y = np.asarray(x, float) - self.center
+        single = y.ndim == 1
+        y = np.atleast_2d(y)
+        out = (self.amplitude + y @ self.lin + (y * y) @ self.quad) * self.envelope(y)
+        return float(out[0]) if single else out
+
+
 @dataclass(frozen=True)
-class GaussPolyBump(TestFunction):
+class GaussPolyBump(_PolyBump):
     """(a + l.y + y.diag(q).y) exp(-|y|^2 / (2 w^2)), y = x - center."""
 
     center: np.ndarray
@@ -213,20 +237,8 @@ class GaussPolyBump(TestFunction):
         object.__setattr__(self, "quad",
                            np.zeros(c.size) if self.quad is None else np.asarray(self.quad, float))
 
-    @property
-    def d(self):
-        return self.center.size
-
-    def _poly(self, y):
-        return self.amplitude + y @ self.lin + (y * y) @ self.quad
-
-    def __call__(self, x):
-        y = np.asarray(x, float) - self.center
-        single = y.ndim == 1
-        y = np.atleast_2d(y)
-        g = np.exp(-np.einsum("ij,ij->i", y, y) / (2 * self.width**2))
-        out = self._poly(y) * g
-        return float(out[0]) if single else out
+    def envelope(self, y):
+        return np.exp(-np.einsum("ij,ij->i", y, y) / (2 * self.width**2))
 
     def gradient(self, x):
         y = np.asarray(x, float) - self.center
@@ -258,7 +270,7 @@ class GaussPolyBump(TestFunction):
 
 
 @dataclass(frozen=True)
-class CompactPolyBump(TestFunction):
+class CompactPolyBump(_PolyBump):
     """(a + l.y + y.diag(q).y) * exp(1 - 1/(1 - s)), s = sum (y_i / R_i)^2 < 1.
 
     Identically zero outside the ellipsoid s >= 1, so it sits below (or above)
@@ -283,22 +295,13 @@ class CompactPolyBump(TestFunction):
         object.__setattr__(self, "quad",
                            np.zeros(c.size) if self.quad is None else np.asarray(self.quad, float))
 
-    @property
-    def d(self):
-        return self.center.size
-
-    def __call__(self, x):
-        y = np.asarray(x, float) - self.center
-        single = y.ndim == 1
-        y = np.atleast_2d(y)
+    def envelope(self, y):
         s = np.sum((y / self.radius) ** 2, axis=-1)
         inside = s < 1.0
         beta = np.zeros_like(s)
         ss = np.clip(s, 0.0, 1.0 - 1e-12)
         beta[inside] = np.exp(1.0 - 1.0 / (1.0 - ss[inside]))
-        p = self.amplitude + y @ self.lin + (y * y) @ self.quad
-        out = p * beta
-        return float(out[0]) if single else out
+        return beta
 
     def _beta_chain(self, y):
         s = float(np.sum((y / self.radius) ** 2))
@@ -438,12 +441,13 @@ def spectral_frac_laplacian_1d(phi, xs, alpha, period=400.0, n=2**17):
 
     Samples phi on a long periodic grid and applies the symbol -|xi|^alpha.
     Independent of the singular-integral route; accuracy is limited by
-    periodization of the operator's algebraic tails.
+    periodization of the operator's algebraic tails.  The samples are real,
+    so a real transform carries the same spectrum in half the work.
     """
     grid = -period / 2.0 + period * np.arange(n) / n
     vals = np.asarray(phi(grid.reshape(-1, 1)), float)
-    xi = 2.0 * math.pi * np.fft.fftfreq(n, d=period / n)
-    transformed = np.fft.ifft(np.fft.fft(vals) * (-np.abs(xi) ** alpha)).real
+    xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=period / n)
+    transformed = np.fft.irfft(np.fft.rfft(vals) * (-xi**alpha), n)
     return np.interp(np.asarray(xs, float), grid, transformed)
 
 
@@ -566,22 +570,27 @@ class ViscosityReport:
         }
 
 
+_COMPACT_QUADS = (-64.0, -24.0, -8.0, -2.0, -0.5, 0.0, 0.5, 2.0, 8.0, 24.0, 64.0)
+_GAUSS_QUADS = (-8.0, -2.0, 0.0, 2.0, 8.0, 32.0)
+
+
 def _candidate_families(x, u_x, scale, slopes, d):
-    """Bump sweep touching value u_x at x; slopes refine around data."""
-    cands = []
-    radii = [0.35 * scale, 0.7 * scale, 1.4 * scale, 2.8 * scale]
-    quads = [-64.0, -24.0, -8.0, -2.0, -0.5, 0.0, 0.5, 2.0, 8.0, 24.0, 64.0]
-    for R in radii:
-        for s in slopes:
-            for q in quads:
-                cands.append(CompactPolyBump(x, R, u_x, s * np.ones(d) if np.isscalar(s) else s,
-                                             q * np.ones(d)))
-    for w in (0.5 * scale, scale, 2 * scale):
-        for s in slopes:
-            for q in (-8.0, -2.0, 0.0, 2.0, 8.0, 32.0):
-                cands.append(GaussPolyBump(x, w, u_x, s * np.ones(d) if np.isscalar(s) else s,
-                                           q * np.ones(d)))
-    return cands
+    """Bump sweep touching value u_x at x; slopes refine around data.
+
+    One ``(template, lins, quads)`` per envelope: candidate k of the family
+    is the template with tilts ``lins[k]`` and ``quads[k]`` (slope-major,
+    then curvature), in the order the sweep reports them.
+    """
+    slope_rows = np.array([s * np.ones(d) for s in slopes])
+
+    def tilts(quads):
+        return (np.repeat(slope_rows, len(quads), axis=0),
+                np.tile(np.outer(quads, np.ones(d)), (len(slopes), 1)))
+
+    return ([(CompactPolyBump(x, R, u_x), *tilts(_COMPACT_QUADS))
+             for R in (0.35 * scale, 0.7 * scale, 1.4 * scale, 2.8 * scale)]
+            + [(GaussPolyBump(x, w, u_x), *tilts(_GAUSS_QUADS))
+               for w in (0.5 * scale, scale, 2 * scale)])
 
 
 def _default_slopes(u, x, d, scale):
@@ -628,6 +637,49 @@ def _local_cluster(x, span, d):
     return np.concatenate([x + radii[:, None] * u_dir[None, :] for u_dir in dirs])
 
 
+def _admissibility_lattice(u, problem, x):
+    """Lattice of the admissibility test and the extended solution's envelopes on it.
+
+    Returns ``(mesh, env_up, env_lo, span)``: the points, the largest and the
+    smallest of u and the boundary data g at each (u inside, g outside, both
+    on the boundary), and the largest side of the domain's bounding box.
+    """
+    domain, d = problem.domain, x.size
+    lo, hi = domain.bounding_box()
+    span = float(np.max(hi - lo))
+    pad = _LATTICE_PAD * span
+    if d == 1:
+        axes = [np.linspace(lo[0] - pad, hi[0] + pad, _LATTICE_POINTS)]
+    else:
+        per_axis = max(int(_LATTICE_POINTS ** (1.0 / d)), 41)
+        axes = [np.linspace(lo[i] - pad, hi[i] + pad, per_axis) for i in range(d)]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    mesh = np.vstack([mesh, _local_cluster(x, span, d)])
+    inside = domain.contains(mesh, "closure")
+    strictly = domain.contains(mesh, "open")
+    edge = inside & ~strictly
+    u_vals = np.asarray(u(mesh), float)
+    g_vals = np.asarray(problem.boundary_data(mesh), float)
+    env_up = np.where(inside, u_vals, g_vals)
+    env_lo = env_up.copy()
+    env_up[edge] = np.maximum(u_vals[edge], g_vals[edge])
+    env_lo[edge] = np.minimum(u_vals[edge], g_vals[edge])
+    return mesh, env_up, env_lo, span
+
+
+def _family_values(template, lins, quads, y):
+    """Every candidate of one family at the rows of y = points - center, one column each.
+
+    The same sums as each bump's own ``__call__``, so at d = 1 column k is
+    bit for bit the value of the template with tilts ``lins[k]``, ``quads[k]``.
+    """
+    vals = y @ lins.T
+    vals += template.amplitude
+    vals += (y * y) @ quads.T
+    vals *= template.envelope(y)[:, None]
+    return vals
+
+
 VISCOSITY_MODES = ("strong", "generalized", "nonstationary")
 VISCOSITY_SIDES = ("sub", "super")
 
@@ -659,7 +711,6 @@ def check_viscosity_point(u, problem, spec, x, mode="generalized", g_fn=None, to
         raise ConfigError(f"query point x={x.tolist()} lies outside the closed domain; "
                           "pass a finite point of its closure")
     d = x.size
-    g_data = problem.boundary_data
     if g_fn is None:
         g_fn = linear_G(problem, spec)
     report = ViscosityReport(point=x, mode=mode)
@@ -667,7 +718,7 @@ def check_viscosity_point(u, problem, spec, x, mode="generalized", g_fn=None, to
     u_x = float(u(x))
     interior = bool(domain.contains(x, "open"))
 
-    g_x = float(np.asarray(g_data(x.reshape(1, -1)), float)[0])
+    g_x = float(np.asarray(problem.boundary_data(x.reshape(1, -1)), float)[0])
     if not interior:
         if mode == "strong":
             if "sub" in sides and u_x > g_x + tol:
@@ -685,27 +736,8 @@ def check_viscosity_point(u, problem, spec, x, mode="generalized", g_fn=None, to
             report.notes.append("non-stationary mode off the open cylinder: data check only")
             return report
 
-    # build the lattice and the extended envelopes
-    lo, hi = domain.bounding_box()
-    span = float(np.max(hi - lo))
-    pad = _LATTICE_PAD * span
-    if d == 1:
-        axes = [np.linspace(lo[0] - pad, hi[0] + pad, _LATTICE_POINTS)]
-    else:
-        per_axis = max(int(_LATTICE_POINTS ** (1.0 / d)), 41)
-        axes = [np.linspace(lo[i] - pad, hi[i] + pad, per_axis) for i in range(d)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    mesh = np.vstack([mesh, _local_cluster(x, span, d)])
-    inside = domain.contains(mesh, "closure")
-    strictly = domain.contains(mesh, "open")
-    edge = inside & ~strictly
-    u_vals = np.asarray(u(mesh), float)
-    g_vals = np.asarray(g_data(mesh), float)
-    env_up = np.where(inside, u_vals, g_vals)
-    env_lo = env_up.copy()
-    env_up[edge] = np.maximum(u_vals[edge], g_vals[edge])
-    env_lo[edge] = np.minimum(u_vals[edge], g_vals[edge])
-    report.notes.append(f"lattice: {len(mesh)} points, pad {pad:.3g}")
+    mesh, env_up, env_lo, span = _admissibility_lattice(u, problem, x)
+    report.notes.append(f"lattice: {len(mesh)} points, pad {_LATTICE_PAD * span:.3g}")
 
     # exact emptiness at the query point itself
     if not interior:
@@ -714,24 +746,33 @@ def check_viscosity_point(u, problem, spec, x, mode="generalized", g_fn=None, to
         if g_x < u_x - 1e-12:
             report.j_minus_empty = True
 
-    scale = span
-    slopes = _default_slopes(u, x, d, scale)
-    cands = _candidate_families(x, u_x, scale, slopes, d)
-    report.tested_count = len(cands)
+    slopes = _default_slopes(u, x, d, span)
     adm_tol = 1e-8
+    test_sub = "sub" in sides and not report.j_plus_empty
+    test_super = "super" in sides and not report.j_minus_empty
+    floor = (env_up - adm_tol)[:, None]
+    ceiling = (env_lo + adm_tol)[:, None]
+    y = mesh - x
 
-    for phi in cands:
-        vals = np.asarray(phi(mesh), float)
-        if "sub" in sides and not report.j_plus_empty:
-            if np.all(vals >= env_up - adm_tol):
+    # one family at a time on the lattice as a (points, candidates) array; a
+    # bump object is built only for an admissible column, in sweep order
+    for template, lins, quads in _candidate_families(x, u_x, span, slopes, d):
+        k_count = len(lins)
+        report.tested_count += k_count
+        vals = _family_values(template, lins, quads, y)
+        above = np.all(vals >= floor, axis=0) if test_sub else np.zeros(k_count, bool)
+        below = np.all(vals <= ceiling, axis=0) if test_super else np.zeros(k_count, bool)
+        del vals  # so that the next family's array is not built beside this one
+        for k in np.flatnonzero(above | below):
+            phi = replace(template, lin=lins[k], quad=quads[k])
+            if above[k]:
                 report.admissible_plus += 1
                 Gv = g_fn(phi, x)
                 ok = (Gv <= tol) if interior else (min(Gv, u_x - g_x) <= tol)
                 if not ok:
                     report.violations.append({"side": "sub", "kind": "inequality",
                                               "G": float(Gv), "phi": phi.params()})
-        if "super" in sides and not report.j_minus_empty:
-            if np.all(vals <= env_lo + adm_tol):
+            if below[k]:
                 report.admissible_minus += 1
                 Gv = g_fn(phi, x)
                 ok = (Gv >= -tol) if interior else (max(Gv, u_x - g_x) >= -tol)

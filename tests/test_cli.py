@@ -62,6 +62,19 @@ def test_regularity_scan_partition(tmp_path):
     assert '"irregular": 1' in text and '"regular": 1' in text
 
 
+def test_regularity_scan_unknown_noise_is_config_error(tmp_path, capsys):
+    cfg = {"experiment": "regularity-scan",
+           "params": {"spec": {"drift": {"name": "constant", "velocity": [1.0]},
+                               "noise": {"kind": "levy"}, "d": 1},
+                      "domain": {"shape": "interval", "a": 0, "b": 1}},
+           "mc": {"n": 10, "h": 1e-3, "seed": 3}, "output": {"path": "r.csv"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "unknown noise kind 'levy'" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_attainment_witness_json(tmp_path):
     cfg = {"experiment": "attainment-witness",
            "params": {"spec": {"drift": {"name": "constant", "velocity": [1.0]},

@@ -9,7 +9,8 @@ from scipy import stats
 from fkexit.errors import ConfigError, InvalidStep
 from fkexit.levy import (JUMP_MARK_FACTOR, BrownianNoise, ConstantDrift, NoNoise,
                          ParabolicDrift, ProcessSpec, StableNoise, TimeAugmentedDrift,
-                         ZeroDrift, euler_block, lift_time, sample_isotropic_stable,
+                         ZeroDrift, drift_from_config, euler_block, lift_time,
+                         noise_from_config, sample_isotropic_stable,
                          sample_one_sided_stable, sample_symmetric_stable_1d, simulate_path,
                          spec_from_config)
 from fkexit.paths import evaluate, exit_time, exit_time_left
@@ -152,6 +153,30 @@ def test_spec_config_round_trip():
     back = spec_from_config(spec.to_config())
     assert np.allclose(back.drift.velocity, spec.drift.velocity)
     assert back.noise == spec.noise and back.d == 2
+
+
+@pytest.mark.parametrize("from_config,cfg,match", [
+    (noise_from_config, {"kind": "levy"},
+     r"unknown noise kind 'levy'; use one of \['none', 'brownian', 'stable'\]"),
+    (noise_from_config, {}, "unknown noise kind None; use one of"),
+    (noise_from_config, {"kind": "brownian"}, "missing config key 'eps'"),
+    (noise_from_config, {"kind": "stable", "sigma": 1.0},
+     "missing config key 'alpha'"),
+    (noise_from_config, {"kind": "stable", "alpha": 1.5},
+     "missing config key 'sigma'"),
+    (drift_from_config, {"name": "swirl"},
+     r"unknown drift 'swirl'; use one of \['constant', 'zero', 'affine', 'parabolic', "
+     r"'time-augmented'\]"),
+    (drift_from_config, {"name": "constant"}, "missing config key 'velocity'"),
+    (drift_from_config, {"name": "zero"}, "missing config key 'd'"),
+    (drift_from_config, {"name": "affine", "A": [[1.0]]}, "missing config key 'c'"),
+    (drift_from_config, {"name": "time-augmented"}, "missing config key 'base'"),
+    (drift_from_config, {"name": "time-augmented", "base": {"name": "swirl"}},
+     "unknown drift 'swirl'"),
+])
+def test_bad_noise_or_drift_config_is_config_error(from_config, cfg, match):
+    with pytest.raises(ConfigError, match=match):
+        from_config(cfg)
 
 
 # ---------------------------------------------------------------------------

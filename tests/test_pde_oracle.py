@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,13 +7,15 @@ import pytest
 from fkexit.errors import ConfigError, CutoffTooTight
 from fkexit.feynman_kac import DirichletProblem
 from fkexit.functions import Constant, Zero, gauss_legendre
-from fkexit.geometry import Interval
+from fkexit.geometry import Ball, Cylinder, Interval
 from fkexit.levy import (BrownianNoise, ConstantDrift, NoNoise, ProcessSpec, StableNoise,
                          ZeroDrift, sample_isotropic_stable)
 from fkexit.pde_oracle import (CompactPolyBump, GaussPolyBump, GridFunction,
-                               check_viscosity_point, closed_form_v0, closed_form_v_eps,
-                               fd_solve_1d, frac_laplacian, G_value, generator_apply,
-                               kernel_constant, parabolic_exit_time,
+                               _admissibility_lattice, _candidate_families, _default_slopes,
+                               _family_values, check_viscosity_point, closed_form_v0,
+                               closed_form_v_eps, fd_solve_1d, frac_laplacian, G_value,
+                               generator_apply, hjb_G, kernel_constant, linear_G,
+                               parabolic_exit_time,
                                parabolic_value, spectral_frac_laplacian_1d,
                                time_space_generator)
 from fkexit.rng import RngStream
@@ -103,6 +106,19 @@ class TestFracLaplacian:
         quad = np.array([frac_laplacian(phi, [x], alpha) for x in xs])
         ref = spectral_frac_laplacian_1d(phi, xs, alpha)
         assert np.max(np.abs(quad - ref)) / np.max(np.abs(ref)) <= 1e-3
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_spectral_oracle_equals_complex_transform(self, alpha):
+        # the real transform against the symbol applied to the full complex FFT
+        phi = GaussPolyBump(np.array([0.3]), 0.5, 1.0)
+        xs = np.linspace(-1.5, 2.0, 20)
+        period, n = 400.0, 2**17
+        grid = -period / 2.0 + period * np.arange(n) / n
+        xi = 2.0 * math.pi * np.fft.fftfreq(n, d=period / n)
+        full = np.fft.ifft(np.fft.fft(phi(grid.reshape(-1, 1))) * (-np.abs(xi) ** alpha)).real
+        ref = np.interp(xs, grid, full)
+        got = spectral_frac_laplacian_1d(phi, xs, alpha)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_scaling_identity(self):
         # widening the bump by s scales the operator by s^(-alpha)
@@ -320,3 +336,131 @@ class TestViscosityChecker:
     def test_unknown_sides_is_config_error(self, sides):
         with pytest.raises(ConfigError, match="super"):
             check_viscosity_point(self.u0, PROB, SPEC0, [0.5], sides=sides)
+
+
+# ---------------------------------------------------------------------------
+# The checker's sweep against a per-candidate reference.
+
+
+def candidate_list(x, u_x, scale, slopes, d):
+    """Every candidate bump of the sweep as its own object, in sweep order."""
+    cands = []
+    for R in (0.35 * scale, 0.7 * scale, 1.4 * scale, 2.8 * scale):
+        for s in slopes:
+            for q in (-64.0, -24.0, -8.0, -2.0, -0.5, 0.0, 0.5, 2.0, 8.0, 24.0, 64.0):
+                cands.append(CompactPolyBump(x, R, u_x, s * np.ones(d) if np.isscalar(s) else s,
+                                             q * np.ones(d)))
+    for w in (0.5 * scale, scale, 2 * scale):
+        for s in slopes:
+            for q in (-8.0, -2.0, 0.0, 2.0, 8.0, 32.0):
+                cands.append(GaussPolyBump(x, w, u_x, s * np.ones(d) if np.isscalar(s) else s,
+                                           q * np.ones(d)))
+    return cands
+
+
+def per_candidate_sweep(u, problem, spec, x, g_fn=None, tol=1e-3, sides=("sub", "super")):
+    """The checker's sweep as one loop over candidates, each on the lattice by its own call."""
+    x = np.atleast_1d(np.asarray(x, float))
+    g_fn = g_fn or linear_G(problem, spec)
+    mesh, env_up, env_lo, span = _admissibility_lattice(u, problem, x)
+    u_x = float(u(x))
+    g_x = float(np.asarray(problem.boundary_data(x.reshape(1, -1)))[0])
+    interior = bool(problem.domain.contains(x, "open"))
+    out = {"tested_count": 0, "admissible_plus": 0, "admissible_minus": 0, "violations": [],
+           "j_plus_empty": not interior and g_x > u_x + 1e-12,
+           "j_minus_empty": not interior and g_x < u_x - 1e-12}
+    slopes = _default_slopes(u, x, x.size, span)
+    for phi in candidate_list(x, u_x, span, slopes, x.size):
+        out["tested_count"] += 1
+        vals = phi(mesh)
+        if "sub" in sides and not out["j_plus_empty"] and np.all(vals >= env_up - 1e-8):
+            out["admissible_plus"] += 1
+            Gv = g_fn(phi, x)
+            if not ((Gv <= tol) if interior else (min(Gv, u_x - g_x) <= tol)):
+                out["violations"].append({"side": "sub", "kind": "inequality",
+                                          "G": float(Gv), "phi": phi.params()})
+        if "super" in sides and not out["j_minus_empty"] and np.all(vals <= env_lo + 1e-8):
+            out["admissible_minus"] += 1
+            Gv = g_fn(phi, x)
+            if not ((Gv >= -tol) if interior else (max(Gv, u_x - g_x) >= -tol)):
+                out["violations"].append({"side": "super", "kind": "inequality",
+                                          "G": float(Gv), "phi": phi.params()})
+    out["j_plus_empty"] |= "sub" in sides and out["admissible_plus"] == 0
+    out["j_minus_empty"] |= "super" in sides and out["admissible_minus"] == 0
+    return out
+
+
+def _grid(values_fn, m):
+    xs = np.linspace(0, 1, m)
+    return GridFunction([xs], values_fn(xs), Interval(0, 1), Zero())
+
+
+HJB_PROB = DirichletProblem(Cylinder(1.0, Ball([0.0], 1.0)), Constant(1.0), Zero(), 1.0)
+HJB_SPEC = ProcessSpec(ZeroDrift(1), StableNoise(1.5, 1.0), 1)
+
+SWEEP_CASES = {
+    **{f"v0-{x}": (lambda: _grid(closed_form_v0, 10001), PROB, SPEC0, [x], {})
+       for x in (0.0, 0.3, 0.5, 1.0)},
+    "v-eps-classical": (lambda: _grid(lambda xs: closed_form_v_eps(1.0, xs), 40001), PROB,
+                        ProcessSpec(ConstantDrift([1.0]), BrownianNoise(1.0), 1), [0.5],
+                        {"mode": "strong", "tol": 1e-4}),
+    "wrong-constant": (lambda: _grid(lambda xs: np.full_like(xs, 0.2), 1001), PROB, SPEC0,
+                       [0.5], {"sides": ("super",)}),
+    **{f"hjb-super-{t}-{x}": (Zero, HJB_PROB, HJB_SPEC, [t, x],
+                              {"mode": "nonstationary", "g_fn": hjb_G(1.5, gamma=1.0),
+                               "sides": ("super",), "tol": 0.25})
+       for t, x in ((0.3, -0.3), (0.5, 0.5))},
+}
+
+
+class TestCandidateSweep:
+    @pytest.mark.parametrize("phi", [
+        GaussPolyBump(np.array([0.3]), 0.4, 0.6, lin=np.array([-1.5]), quad=np.array([8.0])),
+        GaussPolyBump(np.array([0.2, -0.3]), 0.7, 1.3,
+                      lin=np.array([0.4, -0.2]), quad=np.array([0.5, -0.1])),
+        CompactPolyBump(np.array([0.3]), 0.7, 0.6, lin=np.array([2.0]), quad=np.array([-24.0])),
+        CompactPolyBump(np.array([0.0, 0.5]), np.array([1.0, 1.5]), 0.8,
+                        lin=np.array([-0.3, 0.2]), quad=np.array([0.4, 0.6])),
+    ], ids=["gauss-d1", "gauss-d2", "compact-d1", "compact-d2"])
+    def test_envelope_times_polynomial_is_the_bump(self, phi):
+        pts = phi.center + np.random.default_rng(4).uniform(-2.0, 2.0, (500, phi.d))
+        y = pts - phi.center
+        if isinstance(phi, GaussPolyBump):
+            env = np.exp(-np.sum(y * y, axis=1) / (2 * phi.width**2))
+        else:
+            s = np.sum((y / phi.radius) ** 2, axis=1)
+            env = np.zeros(len(y))
+            env[s < 1] = np.exp(1.0 - 1.0 / (1.0 - s[s < 1]))
+            assert np.any(s < 1) and np.any(s >= 1)
+        np.testing.assert_allclose(phi.envelope(y), env, rtol=1e-14, atol=0)
+        poly = phi.amplitude + y @ phi.lin + (y * y) @ phi.quad
+        assert np.array_equal(phi(pts), poly * phi.envelope(y))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_family_columns_are_the_candidates(self, d):
+        x, u_x = np.full(d, 0.3), 0.6
+        slopes = ([-1.0, 0.0, 0.37] if d == 1
+                  else [-1.0, 0.5, np.array([0.3, -0.7]), np.array([-0.2, 1.1])])
+        mesh = np.vstack([x, x + np.random.default_rng(5).uniform(-3.0, 3.0, (600, d))])
+        families = _candidate_families(x, u_x, 1.0, slopes, d)
+        bumps = [replace(template, lin=lin, quad=quad)
+                 for template, lins, quads in families for lin, quad in zip(lins, quads)]
+        assert [b.params() for b in bumps] == \
+            [c.params() for c in candidate_list(x, u_x, 1.0, slopes, d)]
+        cols = np.hstack([_family_values(template, lins, quads, mesh - x)
+                          for template, lins, quads in families])
+        for k, phi in enumerate(bumps):
+            ref = phi(mesh)
+            if d == 1:
+                assert np.array_equal(cols[:, k], ref), k
+            else:
+                assert np.max(np.abs(cols[:, k] - ref)) <= 1e-14 * np.max(np.abs(ref)), k
+
+    @pytest.mark.parametrize("case", list(SWEEP_CASES))
+    def test_sweep_matches_per_candidate_reference(self, case):
+        make_u, problem, spec, x, kwargs = SWEEP_CASES[case]
+        u = make_u()
+        rep = check_viscosity_point(u, problem, spec, x, **kwargs)
+        ref_kwargs = {k: v for k, v in kwargs.items() if k != "mode"}
+        ref = per_candidate_sweep(u, problem, spec, x, **ref_kwargs)
+        assert {key: getattr(rep, key) for key in ref} == ref
