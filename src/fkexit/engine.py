@@ -177,21 +177,8 @@ def _run_chunk(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge)
 
 
 def _member_block(domain, X, mode):
-    """Membership of knots X[:, 1:] as an (na, nb) mask, avoiding reshapes."""
-    if isinstance(domain, Box):
-        K = X[:, 1:]
-        if mode == "open":
-            ok = (K[:, :, 0] > domain.lo[0]) & (K[:, :, 0] < domain.hi[0])
-            for i in range(1, K.shape[2]):
-                ok &= (K[:, :, i] > domain.lo[i]) & (K[:, :, i] < domain.hi[i])
-        else:
-            ok = (K[:, :, 0] >= domain.lo[0]) & (K[:, :, 0] <= domain.hi[0])
-            for i in range(1, K.shape[2]):
-                ok &= (K[:, :, i] >= domain.lo[i]) & (K[:, :, i] <= domain.hi[i])
-        return ok
-    na, nbp, d = X.shape
-    flat = X[:, 1:].reshape(-1, d)
-    return domain.contains(flat, mode).reshape(na, nbp - 1)
+    """Membership of knots X[:, 1:] as an (na, nb) mask."""
+    return domain.contains(X[:, 1:], mode)
 
 
 def _first_outside(inside):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConeData
+from .errors import ConfigError, DimensionMismatch, NoConeData, require_key
 
 _BOUNDARY_TOL = 1e-12
 
@@ -189,7 +189,8 @@ class Domain:
     d: int
 
     def contains(self, x, mode="open"):
-        """Membership of x (single point or (n, d) batch) in O or its closure."""
+        """Membership of x (a single point, or any (..., d) array such as the
+        engine's (na, nb, d) knots) in O or its closure, shaped like x[..., 0]."""
         pts, single = _as_points(x, self.d)
         if mode == "open":
             res = self._inside(pts, strict=True)
@@ -241,9 +242,12 @@ class Box(Domain):
         return self.lo.size
 
     def _inside(self, pts, strict):
-        if strict:
-            return np.all((pts > self.lo) & (pts < self.hi), axis=-1)
-        return np.all((pts >= self.lo) & (pts <= self.hi), axis=-1)
+        lo, hi = self.lo, self.hi
+        ok = np.ones(pts.shape[:-1], dtype=bool)
+        for i in range(self.d):
+            x = pts[..., i]
+            ok &= (x > lo[i]) & (x < hi[i]) if strict else (x >= lo[i]) & (x <= hi[i])
+        return ok
 
     def bounding_box(self):
         return self.lo.copy(), self.hi.copy()
@@ -322,7 +326,11 @@ class Ball(Domain):
         return self.center.size
 
     def _inside(self, pts, strict):
-        dist = np.linalg.norm(pts - self.center, axis=-1)
+        # |x - c|^2 summed in axis order, as np.linalg.norm does: bit for bit the norm
+        dist = (pts[..., 0] - self.center[0]) ** 2
+        for i in range(1, self.d):
+            dist += (pts[..., i] - self.center[i]) ** 2
+        np.sqrt(dist, out=dist)
         return dist < self.radius if strict else dist <= self.radius
 
     def bounding_box(self):
@@ -433,7 +441,8 @@ class PredicateDomain(Domain):
 
     def _inside(self, pts, strict):
         test = self.open_test if strict else self.closure_test
-        return np.array([bool(test(p)) for p in pts])
+        flat = pts.reshape(-1, self.d)
+        return np.array([bool(test(p)) for p in flat], dtype=bool).reshape(pts.shape[:-1])
 
     def bounding_box(self):
         if self.box_lo is None:
@@ -468,15 +477,24 @@ def domain_to_config(domain: Domain) -> dict:
 
 
 def domain_from_config(cfg: dict) -> Domain:
+    """Domain of shape ``cfg["shape"]``; ConfigError for an unknown shape or a missing key."""
     shape = cfg.get("shape")
+
+    def key(k, example):
+        return require_key(cfg, k, f"domain shape {shape!r} needs it, e.g. {example}")
+
     if shape == "box":
-        return Box(np.asarray(cfg["lo"], float), np.asarray(cfg["hi"], float))
+        return Box(np.asarray(key("lo", '"lo": [0.0, 0.0]'), float),
+                   np.asarray(key("hi", '"hi": [1.0, 1.0]'), float))
     if shape == "interval":
-        return Interval(cfg["a"], cfg["b"])
+        return Interval(key("a", '"a": 0'), key("b", '"b": 1'))
     if shape == "ball":
-        return Ball(np.asarray(cfg["center"], float), float(cfg["radius"]))
+        return Ball(np.asarray(key("center", '"center": [0.0, 0.0]'), float),
+                    float(key("radius", '"radius": 1.0')))
     if shape == "cylinder":
-        return Cylinder(float(cfg["T"]), domain_from_config(cfg["base"]))
+        base = key("base", '"base": {"shape": "interval", "a": -1, "b": 1}')
+        return Cylinder(float(key("T", '"T": 1.0')), domain_from_config(base))
     if shape == "parabolic-rect":
         return parabolic_rect()
-    raise ValueError(f"unknown domain shape {shape!r}")
+    raise ConfigError(f"unknown domain shape {shape!r}; use one of "
+                      "['box', 'interval', 'ball', 'cylinder', 'parabolic-rect']")

@@ -15,6 +15,12 @@ positive (alpha/2)-stable variate with Laplace transform exp(-s^(alpha/2)),
 drawn by Kanter's method.  Euler blocks follow the same split: a spec with
 one noisy axis draws its increments by Chambers-Mallows-Stuck, one draw per
 step, and a spec with more draws them by subordination.
+
+Both transforms take sines and cosines of the drawn angle.  numpy's float64
+``sin`` and ``cos`` are scalar loops (about 12 ns an element) while ``tan``
+is vectorized (about 2 ns), so :func:`_sin_in_place` takes the tan
+half-angle form 2t / (1 + t^2), t = tan(x/2), and :func:`_cos_in_place` the
+sine of pi/2 - |x|; both agree with libm to a few ulp.
 """
 
 from __future__ import annotations
@@ -271,12 +277,18 @@ class ProcessSpec:
 
 
 def spec_from_config(cfg: dict) -> ProcessSpec:
-    drift_cfg = dict(cfg["drift"])
-    drift_cfg.setdefault("d", cfg["d"])
+    """Spec from its ``drift``, ``noise`` and ``d``; ConfigError for a missing key."""
+
+    def key(k, example):
+        return require_key(cfg, k, f"a process spec needs it, e.g. {example}")
+
+    d = int(key("d", '"d": 1'))
+    drift_cfg = dict(key("drift", '"drift": {"name": "zero"}'))
+    drift_cfg.setdefault("d", d)
     return ProcessSpec(
         drift_from_config(drift_cfg),
-        noise_from_config(cfg["noise"]),
-        int(cfg["d"]),
+        noise_from_config(key("noise", '"noise": {"kind": "brownian", "eps": 1.0}')),
+        d,
         int(cfg.get("noise_offset", 0)),
     )
 
@@ -290,6 +302,37 @@ def lift_time(spec: ProcessSpec) -> ProcessSpec:
 # Stable samplers.
 
 _TINY = 1e-300
+_HALF_PI_LO = 6.123233995736766e-17  # pi/2 - float(pi/2)
+
+
+def _sin_in_place(x):
+    """sin x for |x| <= pi, in place: 2t / (1 + t^2) with t = tan(x/2).
+
+    One vectorized ``tan`` instead of numpy's scalar ``sin`` loop; agrees
+    with ``np.sin`` to 4.5e-16 absolute and 1e-15 relative.
+    """
+    x *= 0.5
+    np.tan(x, out=x)
+    den = x * x
+    den += 1.0
+    x += x
+    x /= den
+    return x
+
+
+def _cos_in_place(x):
+    """cos x for |x| <= pi/2, in place, as the sine of pi/2 - |x|.
+
+    The direct half-angle form (1 - t^2) / (1 + t^2) loses relative accuracy
+    near |x| = pi/2, where the rounding of t = tan(x/2) reaches 6e-11 of the
+    cosine on 1e6 angles, as much as moving x by one ulp.  pi/2 - |x| is
+    exact there, and adding back the low part of pi/2 keeps the cosine
+    within 4.5e-16 absolute and 1e-15 relative of ``np.cos``.
+    """
+    np.abs(x, out=x)
+    np.subtract(np.pi / 2, x, out=x)
+    x += _HALF_PI_LO
+    return _sin_in_place(x)
 
 
 def sample_symmetric_stable_1d(alpha, rng, size=None):
@@ -304,8 +347,15 @@ def sample_symmetric_stable_1d(alpha, rng, size=None):
     if alpha == 1.0:
         s = np.tan(u)
     else:
-        s = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-             * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
+        # sin(alpha u) / cos(u)^(1/alpha) * (cos((1 - alpha) u) / w)^((1 - alpha) / alpha)
+        s = _sin_in_place(alpha * u)
+        c = _cos_in_place((1.0 - alpha) * u)
+        c /= w
+        c **= (1.0 - alpha) / alpha
+        u = _cos_in_place(u)
+        u **= 1.0 / alpha
+        s /= u
+        s *= c
     return float(s[0]) if size is None else s
 
 
@@ -320,10 +370,17 @@ def sample_one_sided_stable(alpha, rng, size=None):
     n = 1 if size is None else int(size)
     theta = np.clip(gen.uniform(0.0, np.pi, size=n), 1e-12, np.pi - 1e-12)
     w = np.maximum(gen.standard_exponential(n), _TINY)
-    log_a = (alpha / (1 - alpha)) * np.log(np.sin(alpha * theta)) \
-        + np.log(np.sin((1 - alpha) * theta)) \
-        - (1.0 / (1 - alpha)) * np.log(np.sin(theta))
-    t = np.exp((1 - alpha) / alpha * (log_a - np.log(w)))
+    # log_a = alpha/(1-alpha) log sin(alpha theta) + log sin((1-alpha) theta)
+    #         - 1/(1-alpha) log sin(theta);  T = exp((1-alpha)/alpha (log_a - log w))
+    log_a = np.log(_sin_in_place(alpha * theta))
+    log_a *= alpha / (1 - alpha)
+    log_a += np.log(_sin_in_place((1 - alpha) * theta))
+    log_sin = np.log(_sin_in_place(theta), out=theta)
+    log_sin *= 1.0 / (1 - alpha)
+    log_a -= log_sin
+    log_a -= np.log(w, out=w)
+    log_a *= (1 - alpha) / alpha
+    t = np.exp(log_a, out=log_a)
     return float(t[0]) if size is None else t
 
 
@@ -333,7 +390,8 @@ def sample_isotropic_stable(alpha, d, rng, size=None):
     n = 1 if size is None else int(size)
     t = sample_one_sided_stable(alpha / 2.0, gen, size=n)
     z = gen.standard_normal((n, d))
-    z *= np.sqrt(2.0 * t)[:, None]
+    t *= 2.0
+    z *= np.sqrt(t, out=t)[:, None]
     return z[0] if size is None else z
 
 
@@ -383,7 +441,10 @@ def euler_block(spec: ProcessSpec, pos, h, gen, nb):
             jump = np.abs(dw[:, :, 0]) > JUMP_MARK_FACTOR
         else:
             dw = sample_isotropic_stable(noise.alpha, shape[2], gen, size=na * nb).reshape(shape)
-            jump = np.linalg.norm(dw, axis=2) > JUMP_MARK_FACTOR
+            sq = dw[:, :, 0] ** 2  # |dw|^2 summed in axis order, as np.linalg.norm does
+            for i in range(1, shape[2]):
+                sq += dw[:, :, i] ** 2
+            jump = np.sqrt(sq, out=sq) > JUMP_MARK_FACTOR
         dw *= noise.sigma * h ** (1.0 / noise.alpha)
     X = np.empty((na, nb + 1, d))
     X[:, 0] = pos

@@ -75,6 +75,24 @@ def test_regularity_scan_unknown_noise_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("spec,domain,match", [
+    ({"drift": {"name": "zero"}, "noise": {"kind": "brownian", "eps": 1.0}, "d": 1},
+     {"shape": "disk"}, "unknown domain shape 'disk'"),
+    ({"drift": {"name": "zero"}, "noise": {"kind": "brownian", "eps": 1.0}},
+     {"shape": "interval", "a": 0, "b": 1}, "missing config key 'd'"),
+], ids=["unknown-shape", "spec-without-d"])
+def test_regularity_scan_bad_domain_or_spec_is_config_error(tmp_path, capsys, spec, domain,
+                                                            match):
+    cfg = {"experiment": "regularity-scan", "params": {"spec": spec, "domain": domain},
+           "mc": {"n": 10, "h": 1e-3, "seed": 3}, "output": {"path": "r.csv"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and match in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_attainment_witness_json(tmp_path):
     cfg = {"experiment": "attainment-witness",
            "params": {"spec": {"drift": {"name": "constant", "velocity": [1.0]},

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkexit.errors import DimensionMismatch, NoConeData
-from fkexit.geometry import (Ball, Box, Cone, Cylinder, Interval, domain_from_config,
-                             domain_to_config, parabolic_curve, parabolic_rect)
+from fkexit.errors import ConfigError, DimensionMismatch, NoConeData
+from fkexit.geometry import (Ball, Box, Cone, Cylinder, Interval, PredicateDomain,
+                             domain_from_config, domain_to_config, parabolic_curve,
+                             parabolic_rect)
 from fkexit.rng import RngStream
 
 
@@ -149,3 +150,105 @@ def test_predicate_domain_membership():
     assert dom.contains([0.5], "open") and not dom.contains([1.0], "open")
     assert dom.contains([1.0], "closure")
     assert dom.faces() is None
+
+
+@pytest.mark.parametrize("cfg,match", [
+    ({"shape": "disk"}, r"unknown domain shape 'disk'; use one of \['box', 'interval', 'ball', "
+                        r"'cylinder', 'parabolic-rect'\]"),
+    ({}, "unknown domain shape None"),
+    ({"shape": "box", "lo": [0.0]}, "missing config key 'hi'; domain shape 'box' needs it"),
+    ({"shape": "interval", "a": 0}, "missing config key 'b'"),
+    ({"shape": "ball", "center": [0.0]}, "missing config key 'radius'"),
+    ({"shape": "cylinder", "base": {"shape": "interval", "a": 0, "b": 1}},
+     "missing config key 'T'"),
+    ({"shape": "cylinder", "T": 1.0}, "missing config key 'base'"),
+    ({"shape": "cylinder", "T": 1.0, "base": {"shape": "disk"}}, "unknown domain shape 'disk'"),
+], ids=["unknown-shape", "no-shape", "box-without-hi", "interval-without-b",
+        "ball-without-radius", "cylinder-without-T", "cylinder-without-base",
+        "cylinder-unknown-base"])
+def test_bad_domain_config_is_config_error(cfg, match):
+    with pytest.raises(ConfigError, match=match):
+        domain_from_config(cfg)
+
+
+# ---------------------------------------------------------------------------
+# Membership on knot arrays: the engine asks for an (na, nb, d) mask at once.
+
+
+def _norm_ball(center, radius):
+    """Membership of a ball written with np.linalg.norm, for (n, d) points."""
+    def inside(p, strict):
+        dist = np.linalg.norm(p - center, axis=-1)
+        return dist < radius if strict else dist <= radius
+    return inside
+
+
+def _all_axes_box(lo, hi):
+    def inside(p, strict):
+        return np.all((p > lo) & (p < hi) if strict else (p >= lo) & (p <= hi), axis=-1)
+    return inside
+
+
+def _lidded(T, base):
+    def inside(p, strict):
+        t = p[:, 0]
+        tin = (t > 0) & (t < T) if strict else (t >= 0) & (t <= T)
+        return tin & base(p[:, 1:], strict)
+    return inside
+
+
+_disk = PredicateDomain(2, lambda p: p[0] ** 2 + p[1] ** 2 < 1.0,
+                        lambda p: p[0] ** 2 + p[1] ** 2 <= 1.0,
+                        box_lo=np.array([-1.0, -1.0]), box_hi=np.array([1.0, 1.0]))
+
+# (domain, the same membership as a formula of flat (n, d) points)
+KNOT_DOMAINS = {
+    "interval": (Interval(-0.5, 1.0), _all_axes_box(np.array([-0.5]), np.array([1.0]))),
+    "box-2": (parabolic_rect(), _all_axes_box(np.array([-1.0, 0.0]), np.array([1.0, 1.0]))),
+    "box-3": (Box([0.0, -1.0, 0.5], [1.0, 1.0, 2.0]),
+              _all_axes_box(np.array([0.0, -1.0, 0.5]), np.array([1.0, 1.0, 2.0]))),
+    "ball-1": (Ball([0.5], 0.5), _norm_ball(np.array([0.5]), 0.5)),
+    "ball-2": (Ball([0.0, 0.0], 1.0), _norm_ball(np.array([0.0, 0.0]), 1.0)),
+    "ball-3": (Ball([0.1, -0.2, 0.3], 0.7), _norm_ball(np.array([0.1, -0.2, 0.3]), 0.7)),
+    "cylinder-ball": (Cylinder(1.0, Ball([0.0], 1.0)),
+                      _lidded(1.0, _norm_ball(np.array([0.0]), 1.0))),
+    "cylinder-box": (Cylinder(0.5, Box([-1.0, 0.0], [1.0, 1.0])),
+                     _lidded(0.5, _all_axes_box(np.array([-1.0, 0.0]), np.array([1.0, 1.0])))),
+    "predicate": (_disk, lambda p, strict: np.array(
+        [bool((_disk.open_test if strict else _disk.closure_test)(q)) for q in p])),
+}
+
+
+def _knots(domain, na, nb, seed):
+    """(na, nb, d) knots, a view like the engine's X[:, 1:]: boundary points, and
+    uniform points of the bounding box grown by a quarter on each side."""
+    gen = RngStream(seed).generator()
+    lo, hi = domain.bounding_box()
+    pad = 0.25 * (hi - lo)
+    pts = gen.uniform(lo - pad, hi + pad, (na * nb, domain.d))
+    if isinstance(domain, PredicateDomain):
+        ang = gen.uniform(0.0, 2 * np.pi, na * nb // 3)
+        edge = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        edge = np.concatenate([edge, [[1.0, 0.0], [0.0, -1.0], [0.6, 0.8]]])
+    else:
+        edge = domain.sample_boundary(na * nb // 3, gen)
+    pts[:len(edge)] = edge
+    X = np.empty((na, nb + 1, domain.d))
+    X[:, 1:] = gen.permutation(pts).reshape(na, nb, domain.d)
+    return X[:, 1:]
+
+
+@pytest.mark.parametrize("mode", ["open", "closure"])
+@pytest.mark.parametrize("name", list(KNOT_DOMAINS))
+def test_membership_of_knot_arrays_is_the_flat_membership(name, mode):
+    domain, formula = KNOT_DOMAINS[name]
+    na, nb = 30, 17
+    K = _knots(domain, na, nb, seed=80)
+    got = domain.contains(K, mode)
+    assert got.shape == (na, nb) and got.dtype == bool
+    flat = K.reshape(-1, domain.d)
+    np.testing.assert_array_equal(got, domain.contains(flat, mode).reshape(na, nb))
+    np.testing.assert_array_equal(got, formula(flat, mode == "open").reshape(na, nb))
+    # the boundary points make the two modes differ
+    assert 0 < got.sum() < got.size
+    assert (domain.contains(K, "closure") & ~domain.contains(K, "open")).any()

@@ -9,8 +9,8 @@ from scipy import stats
 from fkexit.errors import ConfigError, InvalidStep
 from fkexit.levy import (JUMP_MARK_FACTOR, BrownianNoise, ConstantDrift, NoNoise,
                          ParabolicDrift, ProcessSpec, StableNoise, TimeAugmentedDrift,
-                         ZeroDrift, drift_from_config, euler_block, lift_time,
-                         noise_from_config, sample_isotropic_stable,
+                         ZeroDrift, _cos_in_place, _sin_in_place, drift_from_config,
+                         euler_block, lift_time, noise_from_config, sample_isotropic_stable,
                          sample_one_sided_stable, sample_symmetric_stable_1d, simulate_path,
                          spec_from_config)
 from fkexit.paths import evaluate, exit_time, exit_time_left
@@ -51,9 +51,48 @@ class TestOneSided:
             se = np.std(np.exp(-s * t)) / math.sqrt(n)
             assert abs(emp - math.exp(-(s**0.75))) <= 3 * se + 1e-4
 
+    @pytest.mark.parametrize("alpha,seed", [(0.3, 70), (0.95, 71)])
+    def test_laplace_transform_near_the_ends(self, alpha, seed):
+        n = 400_000
+        t = sample_one_sided_stable(alpha, RngStream(seed), size=n)
+        assert np.all(t > 0)
+        for s in (0.5, 1.0, 2.0):
+            emp = np.mean(np.exp(-s * t))
+            se = np.std(np.exp(-s * t)) / math.sqrt(n)
+            assert abs(emp - math.exp(-(s**alpha))) <= 3 * se + 1e-4
+
     def test_index_range(self):
         with pytest.raises(ValueError):
             sample_one_sided_stable(1.2, RngStream(0))
+
+
+# The samplers' angles: Kanter's sines take arguments in (0, pi), the
+# Chambers-Mallows-Stuck sine in (-pi, pi) and its cosines in [-pi/2, pi/2].
+SIN_EDGES = [0.0, -0.0, 1e-300, 1e-12, np.pi - 1e-12, np.pi, -np.pi, np.pi / 2, -np.pi / 2]
+COS_EDGES = [0.0, -0.0, 1e-12, np.pi / 2, -np.pi / 2, np.nextafter(np.pi / 2, 0.0),
+             np.pi / 2 - 1e-9, -(np.pi / 2 - 1e-12)]
+
+
+def _errors(got, ref):
+    rel = np.abs(got - ref)[ref != 0] / np.abs(ref[ref != 0])
+    return np.abs(got - ref).max(), rel.max()
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, np.pi), (-np.pi, np.pi)], ids=["kanter", "cms"])
+def test_sine_helper_matches_libm(lo, hi):
+    x = np.concatenate([RngStream(72).generator().uniform(lo, hi, 1_000_000), SIN_EDGES])
+    got = _sin_in_place(x.copy())
+    abs_err, rel_err = _errors(got, np.sin(x))
+    assert abs_err <= 4.5e-16 and rel_err <= 1e-15
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(np.sin(x)))
+
+
+def test_cosine_helper_matches_libm_near_the_right_angle_too():
+    x = np.concatenate([RngStream(73).generator().uniform(-np.pi / 2, np.pi / 2, 1_000_000),
+                        COS_EDGES])
+    got = _cos_in_place(x.copy())
+    abs_err, rel_err = _errors(got, np.cos(x))
+    assert abs_err <= 4.5e-16 and rel_err <= 1e-15
 
 
 class TestIsotropic:
@@ -179,6 +218,22 @@ def test_bad_noise_or_drift_config_is_config_error(from_config, cfg, match):
         from_config(cfg)
 
 
+SPEC = {"drift": {"name": "zero"}, "noise": {"kind": "stable", "alpha": 1.5, "sigma": 1.0},
+        "d": 2}
+
+
+@pytest.mark.parametrize("cfg,match", [
+    ({k: v for k, v in SPEC.items() if k != "d"}, r"missing config key 'd'; a process spec"),
+    ({k: v for k, v in SPEC.items() if k != "drift"}, "missing config key 'drift'"),
+    ({k: v for k, v in SPEC.items() if k != "noise"}, "missing config key 'noise'"),
+    ({**SPEC, "noise": {"kind": "levy"}}, "unknown noise kind 'levy'"),
+], ids=["without-d", "without-drift", "without-noise", "unknown-noise"])
+def test_bad_spec_config_is_config_error(cfg, match):
+    with pytest.raises(ConfigError, match=match):
+        spec_from_config(cfg)
+    assert spec_from_config(SPEC).drift.velocity.shape == (2,)
+
+
 # ---------------------------------------------------------------------------
 # Noise parameters.
 
@@ -253,23 +308,26 @@ def test_one_axis_stable_jump_marks_are_the_large_draws(alpha, route):
 
 
 def summed_block(spec, pos, h, gen, nb):
-    """Reference knots of a constant-drift spec: pos + cumsum(v h + noise), all axes at once."""
+    """Reference knots of a constant-drift spec, pos + cumsum(v h + noise) on all axes at
+    once, and the jump marks: the standard draws whose norm exceeds JUMP_MARK_FACTOR."""
     noise, (na, d) = spec.noise, pos.shape
     shape = (na, nb, d - spec.noise_offset)
     if isinstance(noise, BrownianNoise):
         dw = gen.standard_normal(shape) * (noise.eps * math.sqrt(h))
+        jump = np.zeros((na, nb), dtype=bool)
     else:
         if shape[2] == 1:
             dw = sample_symmetric_stable_1d(noise.alpha, gen, size=na * nb).reshape(shape)
         else:
             dw = sample_isotropic_stable(noise.alpha, shape[2], gen, size=na * nb).reshape(shape)
+        jump = np.linalg.norm(dw, axis=2) > JUMP_MARK_FACTOR
         dw *= noise.sigma * h ** (1.0 / noise.alpha)
     dw = np.concatenate([np.zeros((na, nb, spec.noise_offset)), dw], axis=2)
     dw += spec.drift(pos[:1])[0] * h
     X = np.empty((na, nb + 1, d))
     X[:, 0] = pos
     X[:, 1:] = np.cumsum(dw, axis=1) + pos[:, None, :]
-    return X
+    return X, jump
 
 
 @pytest.mark.parametrize("spec", [
@@ -281,5 +339,8 @@ def summed_block(spec, pos, h, gen, nb):
 def test_constant_drift_block_is_the_cumulative_sum(spec):
     h, na, nb = 1e-3, 300, 40
     pos = RngStream(63).generator().uniform(-1.0, 1.0, (na, spec.d))
-    X, _ = euler_block(spec, pos, h, RngStream(64).generator(), nb)
-    np.testing.assert_array_equal(X, summed_block(spec, pos, h, RngStream(64).generator(), nb))
+    X, jump = euler_block(spec, pos, h, RngStream(64).generator(), nb)
+    ref_X, ref_jump = summed_block(spec, pos, h, RngStream(64).generator(), nb)
+    np.testing.assert_array_equal(X, ref_X)
+    np.testing.assert_array_equal(jump, ref_jump)
+    assert jump.any() == isinstance(spec.noise, StableNoise)
