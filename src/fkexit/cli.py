@@ -63,6 +63,8 @@ def _mc_params(cfg, defaults):
     for k in ("n", "h", "seed"):
         if k not in mc:
             raise ConfigError(f"mc.{k} is required; add e.g. \"mc\": {{\"{k}\": ...}}")
+    if type(mc["n"]) is not int or mc["n"] < 1:  # a bool is not a sample size either
+        raise ConfigError(f"mc.n={mc['n']!r} must be an integer >= 1, e.g. 10000")
     return mc
 
 

@@ -14,15 +14,16 @@ same schedule for one row, so a single trajectory matches its skeleton knot
 for knot.
 Within a step, drift/Brownian segments are treated as linear and their
 boundary crossing is the earliest closed-form crossing over the domain's
-faces (``Domain.faces()``; the engine keeps no shape geometry); an optional
-Brownian-bridge test on axis-aligned boxes catches crossings that both
-endpoints miss.  Stable steps are never refined: a jump is the exit itself,
-and its landing point is the exit point (boundary data lives on the whole
-complement).  Paths stopped by the horizon keep their running cost integral
-and are flagged truncated.
+faces (``Domain.faces()``; the engine keeps no shape geometry); where all
+faces are flat, an optional Brownian-bridge test catches crossings that
+both endpoints miss.  A stable step is refined only at a flat face across
+a noiseless coordinate (a lifted spec's clock), which its drift alone
+crosses; otherwise a jump is the exit itself, and its landing point is the
+exit point (boundary data lives on the whole complement).  Paths stopped
+by the horizon keep their running cost integral and are flagged truncated.
 
 Where that bridge test is exact for any step length (Brownian noise on
-every axis, a state-independent drift, a box, ``bridge=True``, and no
+every axis, a state-independent drift, flat faces, ``bridge=True``, and no
 running cost or a constant one), a chunk takes a second route with no
 blocks: each path steps exactly, h 2^j at a time, the step growing with the
 distance to the nearest face (:func:`_run_dyadic`).  A step crosses a face
@@ -52,7 +53,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidStep, check_inputs, check_start
 from .functions import Constant, SpatialCost, gauss_legendre
-from .geometry import Box, Cylinder, Domain
+from .geometry import AxisFace, Domain
 from .levy import (BrownianNoise, ProcessSpec, StableNoise, _velocity, block_steps,
                    euler_block, simulate_path)
 from .paths import evaluate, exit_time
@@ -154,31 +155,28 @@ def _constant_cost(cost_fn):
     return None
 
 
-def _box_bridge(spec, domain, bridge):
-    """Whether a run bridges box faces: Brownian noise on every axis of a box."""
-    return (bridge and isinstance(domain, Box)
-            and isinstance(spec.noise, BrownianNoise) and spec.noise.eps > 0
-            and spec.noise_offset == 0)
+def _bridge_faces(spec, domain, bridge):
+    """The faces a run bridges: all, if every one is flat and every axis Brownian; else []."""
+    faces = (domain.faces() or []) if bridge else []
+    brownian = isinstance(spec.noise, BrownianNoise) and spec.noise.eps > 0
+    flat = all(isinstance(f, AxisFace) for f in faces)
+    return faces if brownian and spec.noise_offset == 0 and flat else []
 
 
 def _run_chunk(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge):
     c = _constant_cost(cost_fn)
     if c is not None:
         cost_fn = None
-    if cost_fn is None and _velocity(spec.drift) is not None and _box_bridge(spec, domain, bridge):
-        res = _run_dyadic(spec, domain, x0, h, n_steps, gen, m)
+    faces = _bridge_faces(spec, domain, bridge)
+    if cost_fn is None and _velocity(spec.drift) is not None and faces:
+        res = _run_dyadic(spec, faces, x0, h, n_steps, gen, m)
     else:
-        res = _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge)
+        res = _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, faces)
     if c is not None:
         # integral of c exp(-lam s) over [0, t_stop], t_stop the exit or the horizon
         t_stop = np.where(res.truncated, res.steps * h, res.zeta)
         res.cost = c * (-np.expm1(-lam * t_stop)) / lam if lam != 0.0 else c * t_stop
     return res
-
-
-def _member_block(domain, X, mode):
-    """Membership of knots X[:, 1:] as an (na, nb) mask."""
-    return domain.contains(X[:, 1:], mode)
 
 
 def _first_outside(inside):
@@ -200,51 +198,61 @@ def _first_outside_closure(domain, X, first_open):
     if rows.size:
         rows = rows[domain.contains(X[rows, first_open[rows] + 1], "closure")]
     if rows.size:
-        exit_step[rows] = _first_outside(_member_block(domain, X[rows], "closure"))
+        exit_step[rows] = _first_outside(domain.contains(X[rows, 1:], "closure"))
     return exit_step
 
 
-def _bridge_scan(X, domain, half_var, gen, exit_step, bridge_exit, face_axis, face_val):
-    """Brownian-bridge face crossings of the block's steps, in place on the row arrays.
+def _bridge_fires(z, gen, where=True):
+    """Whether each bridge with exponent z crosses its face: z < e for e ~ Exp(1).
+
+    Exponentials are drawn in index order, only where ``where`` holds and
+    z < 45 (beyond it the crossing probability exp(-z) is below 3e-20).
+    """
+    fires = where & (z < 45.0)
+    near = np.flatnonzero(fires)
+    fires.reshape(-1)[near] = z.reshape(-1)[near] < gen.standard_exponential(near.size)
+    return fires
+
+
+def _snap(faces, face_of, x):
+    """The (m, d) points x, row i moved onto faces[face_of[i]], in place."""
+    for f, face in enumerate(faces):
+        on = face_of == f
+        x[on] = face.snap(x[on])
+    return x
+
+
+def _bridge_scan(X, faces, half_var, gen, exit_step, bridge_face):
+    """Brownian-bridge crossings of the block's steps over flat faces, in place on the row arrays.
 
     Step j of a row bridges a face at distances d0, d1 from its knots with
-    probability exp(-d0 d1 / half_var), i.e. when z = d0 d1 / half_var < e
-    for e ~ Exp(1).  Exponentials are drawn, in C order over (row, step),
-    only for the candidates z < 45 (miss probability < 3e-20), one face after
-    the other; a row's first firing step before its exit step becomes its
-    exit step.
+    probability exp(-d0 d1 / half_var), tested by :func:`_bridge_fires` on
+    z = d0 d1 / half_var in C order over (row, step), one face after the
+    other; a row's first firing step before its exit step becomes its exit
+    step, and ``bridge_face`` takes the face's index.
     """
     na, nbp, d = X.shape
     nb = nbp - 1
     knots = X.reshape(-1, d)  # step j of row r starts at knot r (nb + 1) + j
     # z < 45 needs a knot within sqrt(45 half_var) of the face or beyond it
     # (both distances exceed the smaller one, or their signs differ); the
-    # margins cover rounding, so the knot test keeps every candidate
+    # margin covers rounding, so the knot test keeps every candidate
     reach = math.sqrt(45.0 * half_var) * (1.0 + 1e-9)
-    for i in range(d):
-        lo, hi = domain.lo[i], domain.hi[i]
-        for face, near in ((lo, X[:, :, i] < lo + reach + 4.0 * np.spacing(abs(lo) + reach)),
-                           (hi, X[:, :, i] > hi - reach - 4.0 * np.spacing(abs(hi) + reach))):
-            step = np.flatnonzero(near[:, :-1] | near[:, 1:])
-            k = step + step // nb
-            z = (knots[k, i] - face) * (knots[k + 1, i] - face) / half_var
-            cand = z < 45.0
-            ncand = int(np.count_nonzero(cand))
-            if not ncand:
-                continue
-            step = step[cand][z[cand] < gen.standard_exponential(ncand)]
-            # steps ascend, so each row's first entry is its earliest firing step
-            rows, first = np.unique(step // nb, return_index=True)
-            j = step[first] - rows * nb
-            better = j < exit_step[rows]
-            rows, j = rows[better], j[better]
-            exit_step[rows] = j
-            bridge_exit[rows] = True
-            face_axis[rows] = i
-            face_val[rows] = face
+    for f, face in enumerate(faces):
+        dist = face.distance(knots)
+        near = (dist < reach).reshape(na, nbp)
+        step = np.flatnonzero(near[:, :-1] | near[:, 1:])
+        k = step + step // nb
+        step = step[_bridge_fires(dist[k] * dist[k + 1] / half_var, gen)]
+        # steps ascend, so each row's first entry is its earliest firing step
+        rows, first = np.unique(step // nb, return_index=True)
+        j = step[first] - rows * nb
+        better = j < exit_step[rows]
+        exit_step[rows[better]] = j[better]
+        bridge_face[rows[better]] = f
 
 
-def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge):
+def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge_faces):
     d = spec.d
     pos = np.tile(np.asarray(x0, float), (m, 1))
     idx = np.arange(m)
@@ -258,14 +266,15 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge
     open_found = np.zeros(m, bool)
 
     stable = isinstance(spec.noise, StableNoise) and spec.noise.sigma > 0
-    use_bridge = _box_bridge(spec, domain, bridge)
-    # the clock coordinate is deterministic, so a stable path's lid crossing
-    # is refined exactly; its spatial crossings stay knot-level
-    lid_refine = stable and isinstance(domain, Cylinder) and spec.noise_offset >= 1
+    # a stable step moves the noiseless coordinates (a lifted spec's clock)
+    # by its drift part alone, so its crossing of a flat face across one of
+    # them is solved exactly; its other crossings stay knot-level
+    faces = (domain.faces() or []) if stable else []
+    still_faces = [f for f in faces if isinstance(f, AxisFace) and f.axis < spec.noise_offset]
     # a knot can sit in the closure but outside the open set only for jump
-    # dynamics or on a cylinder lid; Brownian segments in a convex domain
-    # touch the boundary exactly when they cross it
-    scan_open = stop == "open" or stable or isinstance(domain, Cylinder)
+    # dynamics or on a face across a noiseless coordinate; Brownian segments
+    # in a convex domain touch the boundary exactly when they cross it
+    scan_open = stop == "open" or stable or spec.noise_offset > 0
     if cost_fn is not None:
         w0, w1 = _trap_weights(h, lam)
 
@@ -276,18 +285,16 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge
         X, jmask = euler_block(spec, pos, h, gen, nb)
 
         if scan_open:
-            first_open = _first_outside(_member_block(domain, X, "open"))
+            first_open = _first_outside(domain.contains(X[:, 1:], "open"))
             exit_step = (first_open if stop == "open"
                          else _first_outside_closure(domain, X, first_open))
         else:
             first_open = np.full(na, nb)
-            exit_step = _first_outside(_member_block(domain, X, "closure"))
-        bridge_exit = np.zeros(na, bool)
-        bridge_face_axis = np.zeros(na, dtype=int)
-        bridge_face_val = np.zeros(na)
-        if use_bridge:
-            _bridge_scan(X, domain, 0.5 * spec.noise.eps ** 2 * h, gen,
-                         exit_step, bridge_exit, bridge_face_axis, bridge_face_val)
+            exit_step = _first_outside(domain.contains(X[:, 1:], "closure"))
+        bridge_face = np.full(na, -1)
+        if bridge_faces:
+            _bridge_scan(X, bridge_faces, 0.5 * spec.noise.eps ** 2 * h, gen,
+                         exit_step, bridge_face)
 
         exited = exit_step < nb
         rows = np.nonzero(exited)[0]
@@ -301,29 +308,23 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge
             if stable:
                 tau[rows] = (k0 + je + 1.0) * h
                 xex[rows] = b
-                jump_exit[rows] = jmask[rows, je] & ~bridge_exit[rows]
-                if lid_refine:
-                    lid = b[:, 0] > domain.T
-                    if lid.any():
-                        r2 = rows[lid]
-                        sT = (domain.T - a[lid, 0]) / h
-                        xl = a[lid] + spec.drift(a[lid]) * h * sT[:, None]
-                        xl[:, 0] = domain.T
-                        tau[r2] = (k0 + je[lid] + sT) * h
-                        xex[r2] = xl
+                jump_exit[rows] = jmask[rows, je]
+                for face in still_faces:
+                    out = face.distance(b) < 0.0
+                    if out.any():
+                        r2, a2 = rows[out], a[out]
+                        v = spec.drift(a2) * h
+                        s = face.distance(a2) / (face.side * v[:, face.axis])
+                        tau[r2] = (k0 + je[out] + s) * h
+                        xex[r2] = face.snap(a2 + v * s[:, None])
                         jump_exit[r2] = False
             else:
-                on_bridge = bridge_exit[rows]
-                kn, br = rows[~on_bridge], rows[on_bridge]
-                if kn.size:
-                    s, xc = segment_crossing(domain, a[~on_bridge], b[~on_bridge])
-                    tau[kn] = (k0 + je[~on_bridge] + s) * h
-                    xex[kn] = xc
-                if br.size:
-                    tau[br] = (k0 + je[on_bridge] + 0.5) * h
-                    mid = 0.5 * (a[on_bridge] + b[on_bridge])
-                    mid[np.arange(br.size), bridge_face_axis[br]] = bridge_face_val[br]
-                    xex[br] = mid
+                # a bridge exit is placed at the step's midpoint, on its face
+                s, xex[rows] = segment_crossing(domain, a, b)
+                br = bridge_face[rows] >= 0
+                s[br] = 0.5
+                xex[rows[br]] = _snap(bridge_faces, bridge_face[rows[br]], 0.5 * (a[br] + b[br]))
+                tau[rows] = (k0 + je + s) * h
 
         if stop == "closure":
             nf = ~open_found[idx]
@@ -377,10 +378,10 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge
 
 
 # ---------------------------------------------------------------------------
-# Exact dyadic steps of a constant-drift Brownian motion in a box.
+# Exact dyadic steps of a constant-drift Brownian motion between flat faces.
 
 
-def _run_dyadic(spec, domain, x0, h, n_steps, gen, m):
+def _run_dyadic(spec, faces, x0, h, n_steps, gen, m):
     """Exits of m paths that step exactly, h 2^j at a time, between the faces.
 
     A row at distance delta from its nearest face takes the largest step
@@ -388,13 +389,11 @@ def _run_dyadic(spec, domain, x0, h, n_steps, gen, m):
     in the steps left before n_steps, and draws its end point
     a + v H + eps sqrt(H) Z.  A face at distances d0, d1 from the step's ends
     is crossed when the end point is on it or beyond it, or else with the
-    one-face bridge probability exp(-2 d0 d1 / (eps^2 H)) (exponentials drawn
-    only where that exponent is below 45, as in :func:`_bridge_scan`), at a
-    time from :func:`_passage_times`.  The earliest crossed face is the exit.
+    one-face bridge probability exp(-2 d0 d1 / (eps^2 H)) (:func:`_bridge_fires`),
+    at a time from :func:`_passage_times`.  The earliest crossed face is the exit.
     """
     eps = spec.noise.eps
     v = _velocity(spec.drift)
-    faces = domain.faces()
     zeta = np.full(m, np.inf)
     pt = np.full((m, spec.d), np.nan)
     steps = np.full(m, n_steps)
@@ -423,8 +422,7 @@ def _run_dyadic(spec, domain, x0, h, n_steps, gen, m):
         crossed = d1 <= 0.0
         z = dist * d1
         z *= 2.0 / (eps * eps * H)
-        near = np.flatnonzero(~crossed & (z < 45.0))  # over (face, row)
-        crossed.reshape(-1)[near] = z.reshape(-1)[near] < gen.standard_exponential(near.size)
+        crossed |= _bridge_fires(z, gen, ~crossed)  # drawn over (face, row)
         f_ix, r = np.nonzero(crossed)
         live = k + ns < n_steps
         if r.size:
@@ -484,13 +482,9 @@ def _bridge_exit_points(faces, face_of, a, b, dist, t, H, eps, gen):
         crossed = np.zeros(todo.size, bool)
         for f, face in enumerate(faces):
             z = two_over_var[todo] * dist[f, todo] * face.distance(x[todo])
-            near = np.flatnonzero((face_of[todo] != f) & (z < 45.0))
-            crossed[near] |= z[near] < gen.standard_exponential(near.size)
+            crossed |= _bridge_fires(z, gen, face_of[todo] != f)
         todo = todo[crossed]
-    for f, face in enumerate(faces):
-        on = face_of == f
-        x[on] = face.snap(x[on])
-    return x
+    return _snap(faces, face_of, x)
 
 
 # ---------------------------------------------------------------------------

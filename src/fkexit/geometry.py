@@ -232,8 +232,9 @@ class Box(Domain):
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if lo.shape != hi.shape or np.any(lo >= hi):
-            raise ValueError("box needs lo < hi per axis")
+        if lo.shape != hi.shape or not (np.isfinite([lo, hi]).all() and (lo < hi).all()):
+            raise ConfigError(f"box lo={lo.tolist()}, hi={hi.tolist()} needs finite lo < hi "
+                              "on every axis, e.g. lo=[0.0], hi=[1.0]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -318,8 +319,9 @@ class Ball(Domain):
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         object.__setattr__(self, "center", c)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (np.isfinite(c).all() and np.isfinite(self.radius) and self.radius > 0):
+            raise ConfigError(f"ball center={c.tolist()}, radius={self.radius} needs a finite "
+                              "center and a finite positive radius, e.g. [0.0] and 1.0")
 
     @property
     def d(self):
@@ -373,8 +375,8 @@ class Cylinder(Domain):
     base: Domain
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("T must be positive")
+        if not (np.isfinite(self.T) and self.T > 0):
+            raise ConfigError(f"cylinder T={self.T} must be finite and positive, e.g. 1.0")
 
     @property
     def d(self):

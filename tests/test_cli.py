@@ -168,6 +168,24 @@ def test_fractional_hjb_bad_noise_is_config_error(tmp_path, capsys, params, matc
     assert not (tmp_path / "f.csv").exists()
 
 
+@pytest.mark.parametrize("params,mc,match", [
+    ({"T": -1.0}, {}, "cylinder T=-1.0"),
+    ({"radius": 0.0}, {}, "radius=0.0 needs a finite center and a finite positive radius"),
+    ({}, {"n": 0}, "mc.n=0 must be an integer >= 1"),
+    ({}, {"n": 2.5}, "mc.n=2.5"),
+    ({}, {"n": "100"}, "mc.n='100'"),
+], ids=["negative-T", "zero-radius", "zero-n", "fractional-n", "string-n"])
+def test_fractional_hjb_bad_domain_or_sample_size_is_config_error(tmp_path, capsys, params,
+                                                                  mc, match):
+    cfg = {"experiment": "fractional-hjb", "params": {"nt": 1, "nx": 1, **params},
+           "mc": {"n": 10, "h": 1e-2, "seed": 1, **mc}, "output": {"path": "f.csv"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert match in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_unknown_experiment_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         run({"experiment": "nope"}, out_dir=str(tmp_path))

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import warnings
 from dataclasses import dataclass
 
@@ -251,7 +253,7 @@ FIRST_OUTSIDE_CLOSURE = engine._first_outside_closure
 
 def two_scan_closure_exit(domain, X, first_open):
     """Reference: each row's first step out of the closure, from a scan of the whole block."""
-    return engine._first_outside(engine._member_block(domain, X, "closure"))
+    return engine._first_outside(domain.contains(X[:, 1:], "closure"))
 
 
 @pytest.mark.parametrize("spec,domain,x0", [
@@ -535,7 +537,7 @@ def test_sparse_bridge_scan_matches_dense(box, h, seed):
     na, nb = 400, 64
     X = random_block(box, na, nb, h, rng)
     half_var = 0.5 * h
-    exit_step = engine._first_outside(engine._member_block(box, X, "closure"))
+    exit_step = engine._first_outside(box.contains(X[:, 1:], "closure"))
     # some rows are stopped early, so their bridge fires after their exit
     early = rng.random(na) < 0.3
     exit_step[early] = np.minimum(exit_step[early], rng.integers(0, nb, size=early.sum()))
@@ -544,16 +546,15 @@ def test_sparse_bridge_scan_matches_dense(box, h, seed):
     ref = dense_bridge_scan(X, box, half_var, gen_ref, exit_step)
 
     gen = np.random.Generator(np.random.Philox(seed))
-    got_step = exit_step.copy()
-    got_exit = np.zeros(na, bool)
-    got_axis = np.zeros(na, dtype=int)
-    got_val = np.zeros(na)
-    engine._bridge_scan(X, box, half_var, gen, got_step, got_exit, got_axis, got_val)
+    faces = box.faces()
+    got_step, got_face = exit_step.copy(), np.full(na, -1)
+    engine._bridge_scan(X, faces, half_var, gen, got_step, got_face)
+    fired = got_face >= 0
 
     np.testing.assert_array_equal(got_step, ref[0])
-    np.testing.assert_array_equal(got_exit, ref[1])
-    np.testing.assert_array_equal(got_axis, ref[2])
-    np.testing.assert_array_equal(got_val, ref[3])
+    np.testing.assert_array_equal(fired, ref[1])
+    np.testing.assert_array_equal([faces[f].axis for f in got_face[fired]], ref[2][fired])
+    np.testing.assert_array_equal([faces[f].value for f in got_face[fired]], ref[3][fired])
     np.testing.assert_equal(gen.bit_generator.state, gen_ref.bit_generator.state)
 
     first_any, had_cand = ref[4], ref[5]
@@ -561,3 +562,45 @@ def test_sparse_bridge_scan_matches_dense(box, h, seed):
     assert (~had_cand).any(), "every row had a candidate step"
     assert ((first_any < nb) & (first_any >= exit_step)).any(), \
         "no row exited before its bridge fired"
+
+
+# ---------------------------------------------------------------------------
+# A shape-blind engine: it reads Domain.faces(), Domain.contains and the spec,
+# so a cylinder over an interval and the box with the same faces draw alike.
+
+SPEC_STABLE_1D = ProcessSpec(ZeroDrift(1), StableNoise(1.5, 1.0), 1)
+SPEC_BROWN_2D = ProcessSpec(ConstantDrift([1.0, 0.3]), BrownianNoise(0.5), 2)
+
+
+@pytest.mark.parametrize("spec,h,horizon,kw", [
+    (lift_time(SPEC_STABLE_1D), 0.25, 1.5, dict(lam=1.0, cost_fn=SpatialCost(Flat(1.0)))),
+    (lift_time(SPEC_STABLE_1D), 1e-3, 1.002, dict(lam=1.0, cost_fn=SpatialCost(Constant(1.0)))),
+    (lift_time(SPEC_BROWN), 0.25, 1.5, dict(bridge=True)),
+    (SPEC_BROWN_2D, 1e-3, 20.0, dict(bridge=True)),
+    (SPEC_BROWN_2D, 1e-3, 20.0, dict(bridge=True, cost_fn=SpatialCost(Flat(1.0)))),
+], ids=["lifted-stable-lid-landings", "lifted-stable-constant-cost", "lifted-brownian",
+        "brownian-dyadic", "brownian-blocked-bridge"])
+def test_cylinder_and_box_with_the_same_faces_give_the_same_bytes(spec, h, horizon, kw):
+    # from t = 0.5 at h = 0.25 the second clock knot lies on the lid t = T = 1
+    cyl, box = [run_batch(spec, domain, [0.5, 0.3], h, horizon, 1000, 11, **kw)
+                for domain in (Cylinder(1.0, Interval(-1, 1)), Box([0.0, -1.0], [1.0, 1.0]))]
+    assert not cyl.truncated.all()
+    for f in EXIT_FIELDS + ("cost",):
+        assert getattr(cyl, f).tobytes() == getattr(box, f).tobytes(), f
+
+
+def test_engine_names_no_shape():
+    shapes = {"Box", "Ball", "Cylinder", "Interval", "PredicateDomain"}
+    geometry = {"lo", "hi", "T", "base", "center", "radius"}
+    tree = ast.parse(pathlib.Path(engine.__file__).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.alias)):
+            name = node.id if isinstance(node, ast.Name) else node.name
+            if name in shapes:
+                found.append((node.lineno, name))
+        elif isinstance(node, ast.Attribute) and node.attr in shapes | geometry:
+            found.append((node.lineno, "." + node.attr))
+        elif isinstance(node, ast.Constant) and node.value in shapes | geometry:
+            found.append((node.lineno, repr(node.value)))
+    assert not found, f"engine.py reads shape code at (line, name) {found}"

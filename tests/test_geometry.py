@@ -171,6 +171,35 @@ def test_bad_domain_config_is_config_error(cfg, match):
         domain_from_config(cfg)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: Box([0.0, NAN], [1.0, 1.0]), r"box lo=\[0.0, nan\]"),
+    (lambda: Box([0.0], [INF]), "needs finite lo < hi"),
+    (lambda: Box([-INF], [0.0]), "needs finite lo < hi"),
+    (lambda: Box([0.0, 2.0], [1.0, 1.0]), "needs finite lo < hi"),
+    (lambda: Interval(1.0, 1.0), "needs finite lo < hi"),
+    (lambda: Ball([0.0], NAN), "radius=nan"),
+    (lambda: Ball([0.0], INF), "radius=inf"),
+    (lambda: Ball([0.0], 0.0), "radius=0.0"),
+    (lambda: Ball([0.0], -1.0), "radius=-1.0"),
+    (lambda: Ball([NAN, 0.0], 1.0), r"center=\[nan, 0.0\]"),
+    (lambda: Cylinder(NAN, Interval(0, 1)), "T=nan"),
+    (lambda: Cylinder(INF, Interval(0, 1)), "T=inf"),
+    (lambda: Cylinder(0.0, Interval(0, 1)), "T=0.0"),
+    (lambda: Cylinder(-1.0, Interval(0, 1)), "T=-1.0"),
+], ids=["box-nan", "box-inf-hi", "box-inf-lo", "box-lo-above-hi", "interval-empty",
+        "ball-nan-radius", "ball-inf-radius", "ball-zero-radius", "ball-negative-radius",
+        "ball-nan-center", "cylinder-nan-T", "cylinder-inf-T", "cylinder-zero-T",
+        "cylinder-negative-T"])
+def test_non_finite_or_empty_geometry_is_config_error(build, match):
+    # a NaN radius used to give a ball that contains nothing, so an estimate
+    # from its centre returned g(x0) with standard error 0
+    with pytest.raises(ConfigError, match=match):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # Membership on knot arrays: the engine asks for an (na, nb, d) mask at once.
 
