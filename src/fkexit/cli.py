@@ -25,12 +25,13 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateP, FkexitError, require_key
+from .errors import ConfigError, DegenerateP, FkexitError, check_workers, require_key
 from .feynman_kac import (DirichletProblem, attainment_witness, estimate_v,
                           estimate_v_nonstationary)
 from .functions import Constant, Zero
@@ -65,6 +66,11 @@ def _mc_params(cfg, defaults):
             raise ConfigError(f"mc.{k} is required; add e.g. \"mc\": {{\"{k}\": ...}}")
     if type(mc["n"]) is not int or mc["n"] < 1:  # a bool is not a sample size either
         raise ConfigError(f"mc.n={mc['n']!r} must be an integer >= 1, e.g. 10000")
+    if type(mc["seed"]) is not int:
+        raise ConfigError(f"mc.seed={mc['seed']!r} must be an integer, e.g. 7")
+    h = mc["h"]
+    if type(h) not in (int, float) or not (math.isfinite(h) and h > 0):
+        raise ConfigError(f"mc.h={h!r} must be a finite number > 0, e.g. 1e-3")
     return mc
 
 
@@ -236,6 +242,7 @@ _MC_DEFAULTS = {
 
 def run(config, workers=1, out_dir="."):
     """Execute one experiment config; returns the artifact path."""
+    check_workers(workers)
     name = require_key(config, "experiment", f"choose one of {sorted(EXPERIMENTS)}")
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose one of {sorted(EXPERIMENTS)}")

@@ -25,13 +25,16 @@ by the horizon keep their running cost integral and are flagged truncated.
 Where that bridge test is exact for any step length (Brownian noise on
 every axis, a state-independent drift, flat faces, ``bridge=True``, and no
 running cost or a constant one), a chunk takes a second route with no
-blocks: each path steps exactly, h 2^j at a time, the step growing with the
-distance to the nearest face (:func:`_run_dyadic`).  A step crosses a face
-when its end point does, or with the one-face bridge probability, at a
-crossing time drawn from its exact law.  So h is the route's smallest step,
-not a bias parameter: apart from treating the faces one at a time within a
-step, as the bridge test does, the exit law carries no step error.  Every
-other run takes the blocked route.
+blocks: each path steps exactly, h 2^j at a time (:func:`_run_dyadic`).  A
+step crosses a face when its end point does, or with the one-face bridge
+probability, at a crossing time drawn from its exact law; that test is exact
+for any step, so the nearest face does not bound the step.  The step grows
+with the distance to the second-nearest face instead, which it keeps six
+standard deviations away (:func:`_dyadic_steps`).  So h is the route's
+smallest step, not a bias parameter: apart from treating the faces one at a
+time within a step, which neglects a crossing of two faces in one step
+(about 2e-9 per step), the exit law carries no step error.  Every other run
+takes the blocked route.
 
 A running cost that is a named constant (:class:`~fkexit.functions.Constant`
 behind :class:`~fkexit.functions.SpatialCost`) is integrated in closed form,
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidStep, check_inputs, check_start
+from .errors import ConfigError, InvalidStep, check_inputs, check_start, check_workers
 from .functions import Constant, SpatialCost, gauss_legendre
 from .geometry import AxisFace, Domain
 from .levy import (BrownianNoise, ProcessSpec, StableNoise, _velocity, block_steps,
@@ -381,19 +384,48 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge
 # Exact dyadic steps of a constant-drift Brownian motion between flat faces.
 
 
+def _dyadic_steps(dist, speed, eps, h, steps_left):
+    """The h-steps 2^j each row takes next, from its (faces, rows) face distances.
+
+    Face f allows the steps H with 6 eps sqrt(H) + speed_f H <= dist_f, speed_f
+    the drift's speed across it; H_2 is the second smallest allowance over the
+    faces, so every face but one stays six standard deviations plus the
+    drift's displacement away.  The step is the largest H = h 2^j with
+    H <= max((delta / (3 eps))^2, H_2), delta the nearest face's distance,
+    cut to a power of two that fits in ``steps_left``, and at least h.
+    """
+    # sqrt(H_f) is the positive root 2 d / (6 eps + sqrt(36 eps^2 + 4 speed d))
+    root = np.sqrt(36.0 * eps * eps + 4.0 * speed * dist)
+    root += 6.0 * eps
+    allow = np.divide(2.0 * dist, root, out=root)
+    # the two smallest sqrt(H_f) of each row, then the cap in units of h
+    first, second = np.minimum(allow[0], allow[1]), np.maximum(allow[0], allow[1])
+    for a in allow[2:]:
+        second = np.minimum(second, np.maximum(first, a))
+        first = np.minimum(first, a)
+    cap = np.maximum(dist.min(axis=0) * (1.0 / (3.0 * eps)), second)
+    cap *= cap
+    cap *= 1.0 / h
+    # 2^j <= min(allowed steps, steps left): floor(log2) from the exponent
+    j = np.frexp(np.minimum(cap, steps_left))[1] - 1
+    return np.left_shift(np.int64(1), np.maximum(j, 0))
+
+
 def _run_dyadic(spec, faces, x0, h, n_steps, gen, m):
     """Exits of m paths that step exactly, h 2^j at a time, between the faces.
 
-    A row at distance delta from its nearest face takes the largest step
-    H = h 2^j with H <= (delta / (3 eps))^2, cut to a power of two that fits
-    in the steps left before n_steps, and draws its end point
+    A row takes the step H of :func:`_dyadic_steps` and draws its end point
     a + v H + eps sqrt(H) Z.  A face at distances d0, d1 from the step's ends
     is crossed when the end point is on it or beyond it, or else with the
     one-face bridge probability exp(-2 d0 d1 / (eps^2 H)) (:func:`_bridge_fires`),
-    at a time from :func:`_passage_times`.  The earliest crossed face is the exit.
+    at a time from :func:`_passage_times`.  The earliest crossed face is the
+    exit.  The faces are tested one at a time, so the route neglects only a
+    crossing of a second face within the step, which the step rule keeps
+    below about 2 P(Z > 6) = 2e-9 per step.
     """
     eps = spec.noise.eps
     v = _velocity(spec.drift)
+    speed = np.array([[abs(v[f.axis])] for f in faces])  # (faces, 1)
     zeta = np.full(m, np.inf)
     pt = np.full((m, spec.d), np.nan)
     steps = np.full(m, n_steps)
@@ -408,12 +440,8 @@ def _run_dyadic(spec, faces, x0, h, n_steps, gen, m):
         pos = np.tile(x0, (m, 1))
         k = np.zeros(m, dtype=np.int64)  # h-steps done
         dist = np.repeat(dist, m, axis=1)
-    scale = 1.0 / (9.0 * eps * eps * h)  # (delta / (3 eps))^2 / h = scale delta^2
     while idx.size:
-        # 2^j <= min(allowed steps, steps left): floor(log2) from the exponent
-        delta = dist.min(axis=0)
-        j = np.frexp(np.minimum(scale * (delta * delta), n_steps - k))[1] - 1
-        ns = np.left_shift(np.int64(1), np.maximum(j, 0))
+        ns = _dyadic_steps(dist, speed, eps, h, n_steps - k)
         H = ns * h
         b = gen.standard_normal(pos.shape)
         b *= eps * np.sqrt(H)[:, None]
@@ -583,6 +611,7 @@ def run_batch(spec: ProcessSpec, domain: Domain, x0, h, horizon, n, seed,
               workers=1) -> BatchResult:
     """n first-exit trajectories with the fixed chunk/stream contract."""
     check_inputs(h, n)
+    check_workers(workers)
     check_run(horizon, stop)
     x0 = check_start(spec, domain, x0)
     if spec.is_deterministic:

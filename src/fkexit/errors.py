@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the input checks that raise them."""
 
 import math
+import numbers
 
 import numpy as np
 
@@ -86,6 +87,12 @@ def check_inputs(h, n=1):
         raise InvalidStep(f"step h={h} must be a finite positive number, e.g. 1e-3")
     if n < 1:
         raise ValueError(f"sample size n={n} must be a positive integer")
+
+
+def check_workers(workers):
+    """Reject a worker count that is not an integer >= 1 (a bool included)."""
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ConfigError(f"workers={workers!r} must be an integer >= 1, e.g. 1 (serial) or 2")
 
 
 def check_start(spec, domain, x0):

@@ -220,3 +220,33 @@ def test_parabolic_flow_experiment(tmp_path):
     assert len(rows) == 15
     for r in rows:
         assert float(r[2]) == pytest.approx(float(r[4]), abs=1e-9)
+
+
+@pytest.mark.parametrize("mc,match", [
+    ({"seed": "x"}, "mc.seed='x' must be an integer"),
+    ({"seed": 1.5}, "mc.seed=1.5 must be an integer"),
+    ({"seed": True}, "mc.seed=True must be an integer"),
+    ({"h": 0}, "mc.h=0 must be a finite number > 0"),
+    ({"h": -1e-3}, "mc.h=-0.001 must be a finite number > 0"),
+    ({"h": "1e-3"}, "mc.h='1e-3' must be a finite number > 0"),
+])
+def test_bad_seed_or_step_is_config_error(tmp_path, capsys, mc, match):
+    # a seed is not truncated and a step is not left for the engine to refuse:
+    # both are config errors (exit 2) before any path is drawn
+    cfg = {"experiment": "drift-interval", "params": {"eps": 1.0, "grid": [0.5]},
+           "mc": {"n": 10, "h": 1e-3, "seed": 1, **mc}, "output": {"path": "d.csv"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert match in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_config_error(tmp_path, capsys, workers):
+    cfg = {"experiment": "path-counterexamples", "output": {"path": "p.csv"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path), "--workers", workers]) == 2
+    assert f"workers={workers} must be an integer >= 1, e.g. 1" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()

@@ -289,36 +289,52 @@ def test_closure_exit_from_first_open_miss_matches_two_scans(spec, domain, x0, m
 
 
 @pytest.mark.parametrize("h", [1e-4, 1e-3, 1e-2])
-@pytest.mark.parametrize("x", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("x", [0.02, 0.1, 0.5, 0.9, 0.98])
 def test_dyadic_mean_exit_time_matches_closed_form(x, h):
-    # E_x tau of dX = dt + dW on (0, 1) solves u' + u''/2 = -1, u(0) = u(1) = 0;
-    # the route has no step bias, so h only sets the floor step
+    # E_x tau of dX = dt + dW on (0, 1) solves u' + u''/2 = -1, u(0) = u(1) = 0,
+    # and P_x(exit at 1) is u = (1 - e^(-2x)) / (1 - e^(-2)); the route has no
+    # step bias, so h only sets the floor step.  Next to a face (x = 0.02,
+    # 0.98) the far face sets the step, and most paths cross within it
     n = 20_000
     res = run_batch(SPEC_BROWN, Interval(0, 1), [x], h, 20.0, n, 31 + int(100 * x),
                     bridge=True)
     assert not res.truncated.any()
-    exact = (1.0 - math.exp(-2.0 * x)) / (1.0 - math.exp(-2.0)) - x
+    assert np.isin(res.point[:, 0], [0.0, 1.0]).all()
+    p1 = (1.0 - math.exp(-2.0 * x)) / (1.0 - math.exp(-2.0))
+    assert abs((res.point[:, 0] == 1.0).mean() - p1) <= 4.0 * math.sqrt(p1 * (1.0 - p1) / n)
     se = res.zeta.std(ddof=1) / math.sqrt(n)
-    assert abs(res.zeta.mean() - exact) <= 4.0 * se
+    assert abs(res.zeta.mean() - (p1 - x)) <= 4.0 * se
     # steps index the h-grid step that holds the exit
     np.testing.assert_array_equal(res.steps, np.ceil(res.zeta / h - 1e-9).astype(int))
     np.testing.assert_array_equal(res.zeta_hat, res.zeta)
 
 
-def test_dyadic_box_matches_blocked_route_in_law():
+def assert_dyadic_box_matches_blocked_route(x0, seeds, laws=()):
     # the affine twin of a constant drift takes the blocked route at a fine step
     box = Box([0.0, 0.0], [1.0, 0.8])
-    v, eps, x0, n = [0.5, -0.3], 0.7, [0.3, 0.5], 10_000
+    v, eps, n = [0.5, -0.3], 0.7, 10_000
     coarse = run_batch(ProcessSpec(ConstantDrift(v), BrownianNoise(eps), 2), box, x0, 1e-2,
-                       20.0, n, 12, bridge=True)
+                       20.0, n, seeds[0], bridge=True)
     fine = run_batch(ProcessSpec(AffineDrift(np.zeros((2, 2)), v), BrownianNoise(eps), 2), box,
-                     x0, 1e-4, 20.0, n, 13, bridge=True)
+                     x0, 1e-4, 20.0, n, seeds[1], bridge=True)
     assert not (coarse.truncated.any() or fine.truncated.any())
     assert box.on_boundary(coarse.point).all()
-    for f in (lambda r: np.exp(-r.zeta), lambda r: r.point[:, 0], lambda r: r.point[:, 1]):
+    for f in (lambda r: np.exp(-r.zeta), lambda r: r.point[:, 0], lambda r: r.point[:, 1],
+              *laws):
         a, b = f(coarse), f(fine)
         se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(n)
         assert abs(a.mean() - b.mean()) <= 4.0 * se + 2e-3
+
+
+def test_dyadic_box_matches_blocked_route_in_law():
+    assert_dyadic_box_matches_blocked_route([0.3, 0.5], (12, 13))
+
+
+def test_dyadic_box_corner_matches_blocked_route_in_law():
+    # both near faces are on different axes, each crossed by its own exact
+    # test, so both may be near; the face of the exit is checked too
+    assert_dyadic_box_matches_blocked_route([0.02, 0.02], (14, 15),
+                                            laws=(lambda r: r.point[:, 0] == 0.0,))
 
 
 @pytest.mark.parametrize("domain,x0", [
@@ -365,6 +381,74 @@ def test_dyadic_horizon_beyond_int32_steps():
     res = run_batch(spec, Interval(0, 1), [0.5], 1e-9, 3.0, 20, 5, bridge=True)
     assert res.truncated.all()
     np.testing.assert_array_equal(res.steps, 3_000_000_000)
+
+
+def allowance(d, speed, eps):
+    """The largest H with 6 eps sqrt(H) + speed H <= d, from the textbook root."""
+    if speed == 0.0:
+        return (d / (6.0 * eps)) ** 2
+    return ((math.sqrt(36.0 * eps * eps + 4.0 * speed * d) - 6.0 * eps) / (2.0 * speed)) ** 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 5), st.data(), st.floats(0.05, 3.0),
+       st.sampled_from([1e-9, 1e-6, 1e-4, 1e-2]))
+def test_dyadic_step_keeps_every_face_but_one_six_sd_away(n_faces, rows, data, eps, h):
+    dist = np.array(data.draw(st.lists(st.lists(st.floats(1e-6, 2.0), min_size=rows,
+                                                max_size=rows),
+                                       min_size=n_faces, max_size=n_faces)))
+    speed = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.3, 1.0, 50.0]),
+                                        min_size=n_faces, max_size=n_faces)))[:, None]
+    left = np.array(data.draw(st.lists(st.integers(1, 2**40), min_size=rows, max_size=rows)))
+    ns = engine._dyadic_steps(dist, speed, eps, h, left)
+    assert ns.dtype == np.int64
+    for r in range(rows):
+        n_r = int(ns[r])
+        H = n_r * h
+        assert n_r >= 1 and n_r & (n_r - 1) == 0  # a power of two
+        assert n_r <= left[r]
+        near_cap = (dist[:, r].min() / (3.0 * eps)) ** 2
+        allow = [allowance(dist[f, r], speed[f, 0], eps) for f in range(n_faces)]
+        others = np.argsort(allow, kind="stable")[1:]  # all but the smallest allowance
+        kept = all(6.0 * eps * math.sqrt(H) + speed[f, 0] * H <= dist[f, r] * (1 + 1e-9)
+                   for f in others)
+        assert n_r == 1 or kept or H <= near_cap * (1 + 1e-9)
+        # and the step is the largest such power of two
+        cap = max(near_cap, sorted(allow)[1])
+        assert 2 * n_r > left[r] or 2 * H > cap * (1 - 1e-9)
+
+
+class CountingGenerator:
+    """A Generator that counts the normal variates drawn through it."""
+
+    def __init__(self, gen):
+        self.gen, self.normals = gen, 0
+
+    def standard_normal(self, size=None):
+        self.normals += int(np.prod(size if size is not None else 1))
+        return self.gen.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
+def test_dyadic_draws_few_normals_per_path():
+    # from the middle of (0, 1) at h = 1e-4 a path drew about 67 normals when
+    # the step was capped by the nearest face alone; about 18 now
+    n = 4096
+    gen = CountingGenerator(RngStream(17, 0).generator())
+    res = engine._run_chunk(SPEC_BROWN, Interval(0, 1), np.array([0.5]), 1e-4, 200_000, gen, n,
+                            0.0, None, "closure", True)
+    assert not res.truncated.any()
+    assert gen.normals / n < 25.0
+
+
+@pytest.mark.parametrize("workers", [0, -3, True, 1.5, "2"])
+def test_workers_below_one_or_not_an_integer_raises(workers):
+    with pytest.raises(ConfigError, match="must be an integer >= 1, e.g. 1"):
+        run_batch(SPEC_BROWN, Interval(0, 1), [0.5], 1e-3, 1.0, 10, 1, workers=workers)
+    with pytest.raises(ConfigError, match="must be an integer >= 1"):
+        estimate_v(PROB01, SPEC_BROWN, [0.5], 1e-3, 10, 1, workers=workers)
 
 
 # ---------------------------------------------------------------------------
