@@ -58,9 +58,43 @@ def _write_artifact(path, header_lines, body):
         f.write(body)
 
 
+def _section(cfg, key):
+    """cfg[key] (an empty one if absent), or a ConfigError unless it is a JSON object."""
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key}={section!r} must be a JSON object, e.g. {{}}")
+    return section
+
+
+def _is_numbers(v):
+    return isinstance(v, list) and all(type(x) in (int, float) for x in v)
+
+
+# what a parameter must be, where the experiments read it as one
+_PARAM_KINDS = {
+    **dict.fromkeys(("eps", "discount", "running_cost", "alpha", "sigma", "T", "radius", "tol"),
+                    ("a number", lambda v: type(v) in (int, float))),
+    **dict.fromkeys(("n1", "n2", "n_points", "d", "nt", "nx", "grid_nodes"),
+                    ("an integer >= 1", lambda v: type(v) is int and v >= 1)),
+    **dict.fromkeys(("grid", "windows", "points", "sequence"), ("a list of numbers", _is_numbers)),
+    "x0": ("a point, e.g. [0.0]", lambda v: type(v) in (int, float) or _is_numbers(v)),
+    **dict.fromkeys(("spec", "domain"), ("a JSON object", lambda v: isinstance(v, dict))),
+}
+
+
+def _checked_params(config):
+    """config["params"], or a ConfigError for the first parameter that is not of its kind."""
+    params = _section(config, "params")
+    for key, value in params.items():
+        what, ok = _PARAM_KINDS.get(key, ("", lambda v: True))
+        if not ok(value):
+            raise ConfigError(f"params.{key}={value!r} must be {what}")
+    return params
+
+
 def _mc_params(cfg, defaults):
     mc = dict(defaults)
-    mc.update(cfg.get("mc", {}))
+    mc.update(_section(cfg, "mc"))
     for k in ("n", "h", "seed"):
         if k not in mc:
             raise ConfigError(f"mc.{k} is required; add e.g. \"mc\": {{\"{k}\": ...}}")
@@ -78,6 +112,8 @@ def run_drift_interval(params, mc, workers):
     """Value function on (0,1) for dX = dt + eps dW against the closed form."""
     eps = float(params.get("eps", 0.0))
     xs = params.get("grid", [round(0.1 * i, 10) for i in range(11)])
+    if not all(0 <= x <= 1 for x in xs):
+        raise ConfigError(f"params.grid={xs!r} must hold points of [0, 1], e.g. [0.25, 0.5]")
     problem = DirichletProblem(Interval(0, 1), Constant(1.0), Zero(), 1.0)
     noise = NoNoise() if eps == 0.0 else BrownianNoise(eps)
     spec = ProcessSpec(ConstantDrift([1.0]), noise, 1)
@@ -127,14 +163,10 @@ def run_path_counterexamples(params, mc, workers):
 
 
 def _spec_and_domain(params):
-    if "spec" in params:
-        spec = spec_from_config(params["spec"])
-    else:
-        raise ConfigError('params.spec is required, e.g. {"drift": {"name": "constant", '
-                          '"velocity": [1.0]}, "noise": {"kind": "none"}, "d": 1}')
-    domain = domain_from_config(require_key(params, "domain",
-                                            'e.g. {"shape": "interval", "a": 0, "b": 1}'))
-    return spec, domain
+    spec = require_key(params, "spec", 'e.g. {"drift": {"name": "constant", "velocity": [1.0]}, '
+                                       '"noise": {"kind": "none"}, "d": 1}')
+    domain = require_key(params, "domain", 'e.g. {"shape": "interval", "a": 0, "b": 1}')
+    return spec_from_config(spec), domain_from_config(domain)
 
 
 def run_regularity_scan(params, mc, workers):
@@ -154,9 +186,7 @@ def run_attainment_witness(params, mc, workers):
     lam = float(params.get("discount", 1.0))
     problem = DirichletProblem(domain, Constant(float(params.get("running_cost", 1.0))),
                                Zero(), lam)
-    x0 = params.get("x0")
-    if x0 is None:
-        raise ConfigError("params.x0 (a boundary point) is required")
+    x0 = require_key(params, "x0", "give a boundary point, e.g. [0.0]")
     try:
         rep = attainment_witness(problem, spec, x0, mc["h"], mc["n"], mc["seed"],
                                  workers=workers)
@@ -177,9 +207,7 @@ def run_fractional_hjb(params, mc, workers):
     radius = float(params.get("radius", 1.0))
     d = int(params.get("d", 1))
     lam = float(params.get("discount", 1.0))
-    base = Ball(np.zeros(d), radius)
-    cyl = Cylinder(T, base)
-    problem = DirichletProblem(cyl, Constant(1.0), Zero(), lam)
+    problem = DirichletProblem(Cylinder(T, Ball(np.zeros(d), radius)), Constant(1.0), Zero(), lam)
     spec = ProcessSpec(ZeroDrift(d), StableNoise(alpha, float(params.get("sigma", 1.0))), d)
     nt = int(params.get("nt", 5))
     nx = int(params.get("nx", 10))
@@ -244,13 +272,13 @@ def run(config, workers=1, out_dir="."):
     """Execute one experiment config; returns the artifact path."""
     check_workers(workers)
     name = require_key(config, "experiment", f"choose one of {sorted(EXPERIMENTS)}")
-    if name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose one of {sorted(EXPERIMENTS)}")
-    params = config.get("params", {})
+    params = _checked_params(config)
     mc = _mc_params(config, _MC_DEFAULTS[name])
     resolved = {"experiment": name, "params": params, "mc": mc}
     body = EXPERIMENTS[name](params, mc, workers)
-    out_cfg = config.get("output", {})
+    out_cfg = _section(config, "output")
     fname = out_cfg.get("path", f"{name}.csv")
     path = os.path.join(out_dir, fname)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -274,12 +302,14 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as f:
             config = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+        if not isinstance(config, dict):
+            raise ValueError("the config is not a JSON object")
+    except (OSError, ValueError) as e:  # a JSONDecodeError is a ValueError
         print(f"config error: {e}; pass --config a readable JSON file", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        config.setdefault("mc", {})["seed"] = args.seed
     try:
+        if args.seed is not None:
+            config["mc"] = dict(_section(config, "mc"), seed=args.seed)
         path = run(config, workers=args.workers, out_dir=args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

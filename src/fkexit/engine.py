@@ -15,15 +15,17 @@ for knot.
 Within a step, drift/Brownian segments are treated as linear and their
 boundary crossing is the earliest closed-form crossing over the domain's
 faces (``Domain.faces()``; the engine keeps no shape geometry); where all
-faces are flat, an optional Brownian-bridge test catches crossings that
-both endpoints miss.  A stable step is refined only at a flat face across
-a noiseless coordinate (a lifted spec's clock), which its drift alone
-crosses; otherwise a jump is the exit itself, and its landing point is the
-exit point (boundary data lives on the whole complement).  Paths stopped
-by the horizon keep their running cost integral and are flagged truncated.
+faces are flat and every axis is Brownian, :func:`run_batch` always runs a
+Brownian-bridge test that catches crossings that both endpoints miss
+(:func:`run_single` never does, so that it keeps to its skeleton's stream).
+A stable step is refined only at a flat face across a noiseless coordinate
+(a lifted spec's clock), which its drift alone crosses; otherwise a jump is
+the exit itself, and its landing point is the exit point (boundary data
+lives on the whole complement).  Paths stopped by the horizon keep their
+running cost integral and are flagged truncated.
 
-Where that bridge test is exact for any step length (Brownian noise on
-every axis, a state-independent drift, flat faces, ``bridge=True``, and no
+Where that bridge test is exact for any step length (a batch run with
+Brownian noise on every axis, a state-independent drift, flat faces, and no
 running cost or a constant one), a chunk takes a second route with no
 blocks: each path steps exactly, h 2^j at a time (:func:`_run_dyadic`).  A
 step crosses a face when its end point does, or with the one-face bridge
@@ -48,6 +50,7 @@ the path operators and Gauss quadrature of the running cost.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -59,7 +62,7 @@ from .functions import Constant, SpatialCost, gauss_legendre
 from .geometry import AxisFace, Domain
 from .levy import (BrownianNoise, ProcessSpec, StableNoise, _velocity, block_steps,
                    euler_block, simulate_path)
-from .paths import evaluate, exit_time
+from .paths import evaluate, exit_time, left_limit
 from .rng import RngStream
 
 CHUNK_SIZE = 8192
@@ -158,19 +161,19 @@ def _constant_cost(cost_fn):
     return None
 
 
-def _bridge_faces(spec, domain, bridge):
+def _bridge_faces(spec, domain):
     """The faces a run bridges: all, if every one is flat and every axis Brownian; else []."""
-    faces = (domain.faces() or []) if bridge else []
+    faces = domain.faces() or []
     brownian = isinstance(spec.noise, BrownianNoise) and spec.noise.eps > 0
     flat = all(isinstance(f, AxisFace) for f in faces)
     return faces if brownian and spec.noise_offset == 0 and flat else []
 
 
-def _run_chunk(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge):
+def _run_chunk(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridged):
     c = _constant_cost(cost_fn)
     if c is not None:
         cost_fn = None
-    faces = _bridge_faces(spec, domain, bridge)
+    faces = _bridge_faces(spec, domain) if bridged else []
     if cost_fn is None and _velocity(spec.drift) is not None and faces:
         res = _run_dyadic(spec, faces, x0, h, n_steps, gen, m)
     else:
@@ -519,23 +522,25 @@ def _bridge_exit_points(faces, face_of, a, b, dist, t, H, eps, gen):
 # Deterministic short-circuit.
 
 
-def _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, stop):
+def _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, stop, n):
+    """n copies of the exit data of the one exact trajectory."""
     path = simulate_path(spec, x0, h, horizon, RngStream(0, 0))
-    mode = "open-hit" if stop == "open" else "closure-hit"
-    z = exit_time(path, domain, mode)
+    z = exit_time(path, domain, "open-hit" if stop == "open" else "closure-hit")
     zh = exit_time(path, domain, "open-hit")
     truncated = not (z < horizon + 1e-12)
     t_stop = min(z, horizon)
-    c = _quadrature_cost(path, cost_fn, lam, t_stop) if cost_fn else 0.0
-    point = evaluate(path, z) if not truncated else np.full(spec.d, np.nan)
-    point_hat = evaluate(path, zh) if zh < math.inf else np.full(spec.d, np.nan)
-    zeta = z if not truncated else math.inf
-    return dict(zeta=zeta, zeta_hat=zh, point=point, point_hat=point_hat,
-                truncated=truncated, cost=c, steps=int(math.ceil(t_stop / h)))
+    nan = np.full(spec.d, np.nan)
+    point = nan if truncated else evaluate(path, z)
+    point_hat = evaluate(path, zh) if zh < math.inf else nan
+    return BatchResult(np.full(n, math.inf if truncated else z), np.full(n, zh),
+                       np.tile(point, (n, 1)), np.tile(point_hat, (n, 1)),
+                       np.zeros(n, bool), np.full(n, truncated),
+                       np.full(n, int(math.ceil(t_stop / h))),
+                       np.full(n, _quadrature_cost(path, cost_fn, lam, t_stop)))
 
 
 def _quadrature_cost(path, cost_fn, lam, t_stop):
-    if t_stop <= 0:
+    if cost_fn is None or _constant_cost(cost_fn) == 0.0 or t_stop <= 0:
         return 0.0
     if path.kind == "flow":
         nodes, weights = gauss_legendre(_GAUSS_NODES)
@@ -543,8 +548,6 @@ def _quadrature_cost(path, cost_fn, lam, t_stop):
         w = 0.5 * t_stop * weights
         vals = cost_fn(path.flow.eval(t))
         return float(np.sum(w * np.exp(-lam * t) * vals))
-    from .paths import left_limit
-
     total = 0.0
     knots = [t for t in path.times if t < t_stop] + [t_stop]
     for t0, t1 in zip(knots[:-1], knots[1:]):
@@ -573,66 +576,56 @@ def check_run(horizon, stop="closure"):
         raise ConfigError(f"unknown stopping rule stop={stop!r}; use one of {STOP_RULES}")
 
 
-def run_single(spec, domain, x0, h, horizon, stream: RngStream,
-               lam=0.0, cost_fn=None, stop="closure", bridge=False):
-    """One trajectory; on the blocked route, bit-identical to ``simulate_path`` with the same stream.
+def _run(spec, domain, x0, h, horizon, chunks, lam, cost_fn, stop, bridged, workers):
+    """Exits of the chunks, each a (stream, rows) pair, concatenated in chunk order.
 
-    A run that takes the exact dyadic route (see the module notes) draws its
-    steps differently, so it has no skeleton to match.
+    ``bridged`` lets each chunk run the bridge test, and with it the dyadic
+    route, wherever :func:`_bridge_faces` finds that test exact.
     """
-    check_inputs(h)
-    check_run(horizon, stop)
-    x0 = check_start(spec, domain, x0)
-    if spec.is_deterministic:
-        r = _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, stop)
-        return _broadcast_result(r, 1, spec.d)
-    n_steps = int(math.ceil(horizon / h - 1e-12))
-    return _run_chunk(spec, domain, x0, h, n_steps, stream.generator(), 1,
-                      lam, cost_fn, stop, bridge)
-
-
-def _broadcast_result(r, n, d):
-    return BatchResult(
-        np.full(n, r["zeta"]), np.full(n, r["zeta_hat"]),
-        np.tile(r["point"], (n, 1)), np.tile(r["point_hat"], (n, 1)),
-        np.zeros(n, bool), np.full(n, r["truncated"]),
-        np.full(n, r["steps"]), np.full(n, r["cost"]),
-    )
-
-
-def _chunk_task(args):
-    (spec, domain, x0, h, n_steps, seed, chunk_id, m, lam, cost_fn, stop, bridge) = args
-    gen = RngStream(seed, chunk_id).generator()
-    return _run_chunk(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge)
-
-
-def run_batch(spec: ProcessSpec, domain: Domain, x0, h, horizon, n, seed,
-              lam=0.0, cost_fn=None, stop="closure", bridge=False,
-              workers=1) -> BatchResult:
-    """n first-exit trajectories with the fixed chunk/stream contract."""
+    n = sum(m for _, m in chunks)
     check_inputs(h, n)
     check_workers(workers)
     check_run(horizon, stop)
     x0 = check_start(spec, domain, x0)
     if spec.is_deterministic:
-        r = _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, stop)
-        return _broadcast_result(r, n, spec.d)
+        return _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, stop, n)
+    if not horizon / h < 2.0 ** 62:  # step counts are int64
+        raise InvalidStep(f"horizon={horizon:g} is {horizon / h:.3g} steps of h={h:g}; shorten it")
     n_steps = int(math.ceil(horizon / h - 1e-12))
-    tasks = []
-    done = 0
-    cid = 0
-    while done < n:
-        m = min(CHUNK_SIZE, n - done)
-        tasks.append((spec, domain, x0, h, n_steps, seed, cid, m,
-                      lam, cost_fn, stop, bridge))
-        done += m
-        cid += 1
+    tasks = [(spec, domain, x0, h, n_steps, stream, m, lam, cost_fn, stop, bridged)
+             for stream, m in chunks]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_chunk_task, tasks))
+            parts = list(ex.map(_chunk_task, *zip(*tasks)))
     else:
-        parts = [_chunk_task(t) for t in tasks]
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.concat(p)
-    return out
+        parts = [_chunk_task(*t) for t in tasks]
+    return functools.reduce(BatchResult.concat, parts)
+
+
+def _chunk_task(spec, domain, x0, h, n_steps, stream, *rest):
+    return _run_chunk(spec, domain, x0, h, n_steps, stream.generator(), *rest)
+
+
+def run_single(spec, domain, x0, h, horizon, stream: RngStream,
+               lam=0.0, cost_fn=None, stop="closure"):
+    """One trajectory, bit-identical to ``simulate_path`` with the same stream.
+
+    It runs no bridge test, whose draws between blocks would shift the
+    stream, so it never takes the dyadic route either.
+    """
+    return _run(spec, domain, x0, h, horizon, [(stream, 1)], lam, cost_fn, stop,
+                bridged=False, workers=1)
+
+
+def run_batch(spec: ProcessSpec, domain: Domain, x0, h, horizon, n, seed,
+              lam=0.0, cost_fn=None, stop="closure", workers=1) -> BatchResult:
+    """n first-exit trajectories with the fixed chunk/stream contract.
+
+    Chunk c holds rows c CHUNK_SIZE onwards and draws from the stream (seed, c).
+    Every chunk runs the bridge test wherever it is exact.
+    """
+    # n < 1 makes one chunk of n rows, for the entry's check to reject
+    chunks = [(RngStream(seed, c), min(CHUNK_SIZE, n - start))
+              for c, start in enumerate(range(0, n, CHUNK_SIZE) or [0])]
+    return _run(spec, domain, x0, h, horizon, chunks, lam, cost_fn, stop,
+                bridged=True, workers=workers)

@@ -66,8 +66,8 @@ class SingularSystem(FkexitError):
     """Linear system of a deterministic solver is singular."""
 
 
-class ConfigError(FkexitError):
-    """Invalid experiment configuration; message carries a remedy hint."""
+class ConfigError(FkexitError, ValueError):
+    """Invalid configuration or argument value; message carries a remedy hint."""
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def check_inputs(h, n=1):
     if not (math.isfinite(h) and h > 0):
         raise InvalidStep(f"step h={h} must be a finite positive number, e.g. 1e-3")
     if n < 1:
-        raise ValueError(f"sample size n={n} must be a positive integer")
+        raise ConfigError(f"sample size n={n} must be a positive integer")
 
 
 def check_workers(workers):

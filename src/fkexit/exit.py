@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import run_batch, run_single
 from .errors import InvalidStart
-from .feynman_kac import MCEstimate
+from .feynman_kac import MCEstimate, _proportion
 from .geometry import Domain
 from .levy import ProcessSpec
 from .rng import as_stream, effective_seed
@@ -42,6 +42,14 @@ class ExitRecord:
         return math.exp(-lam * self.horizon)
 
 
+def _closure_start(domain, x0):
+    """x0 as a float vector, or InvalidStart if it lies outside the closed domain."""
+    x0 = np.atleast_1d(np.asarray(x0, float))
+    if not domain.contains(x0, "closure"):
+        raise InvalidStart(f"x0={x0.tolist()} is outside the closed domain")
+    return x0
+
+
 def sample_exit(spec: ProcessSpec, domain: Domain, x0, h, horizon, rng) -> ExitRecord:
     """Simulate one trajectory from x0 in the closed domain until it exits.
 
@@ -49,9 +57,7 @@ def sample_exit(spec: ProcessSpec, domain: Domain, x0, h, horizon, rng) -> ExitR
     carries no step bias; noisy specs step with h and resolve drift/Brownian
     boundary crossings in closed form within the straddling step.
     """
-    x0 = np.atleast_1d(np.asarray(x0, float))
-    if not domain.contains(x0, "closure"):
-        raise InvalidStart(f"x0={x0.tolist()} is outside the closed domain")
+    x0 = _closure_start(domain, x0)
     res = run_single(spec, domain, x0, h, horizon, as_stream(rng))
     return ExitRecord(
         zeta=float(res.zeta[0]),
@@ -75,15 +81,10 @@ def exit_coincidence(spec: ProcessSpec, domain: Domain, x0, h, horizon, n, rng,
     ``truncated_fraction``.
     """
     seed = effective_seed(rng)
-    x0 = np.atleast_1d(np.asarray(x0, float))
-    if not domain.contains(x0, "closure"):
-        raise InvalidStart(f"x0={x0.tolist()} is outside the closed domain")
-    res = run_batch(spec, domain, x0, h, horizon, n, seed, bridge=True, workers=workers)
+    x0 = _closure_start(domain, x0)
+    res = run_batch(spec, domain, x0, h, horizon, n, seed, workers=workers)
     both = np.isfinite(res.zeta) & np.isfinite(res.zeta_hat)
-    coincide = both & (np.abs(res.zeta - res.zeta_hat) <= h)
-    p = float(np.mean(coincide))
-    se = math.sqrt(p * (1 - p) / n)
-    return MCEstimate(p, se, n, seed, float(np.mean(res.truncated)))
+    return _proportion(both & (np.abs(res.zeta - res.zeta_hat) <= h), seed, res.truncated)
 
 
 def exit_point_avoidance(spec: ProcessSpec, domain: Domain, x0, region: Domain,
@@ -92,18 +93,17 @@ def exit_point_avoidance(spec: ProcessSpec, domain: Domain, x0, region: Domain,
 
     This is the testable side of the neighborhood hypothesis for irregular
     boundary sets: a valid neighborhood is one this probability vanishes on
-    for every start in the closed domain.
+    for every start in the closed domain.  A start outside it raises
+    :class:`InvalidStart`, as in :func:`exit_coincidence`.
     """
     seed = effective_seed(rng)
-    res = run_batch(spec, domain, np.atleast_1d(np.asarray(x0, float)), h, horizon, n, seed,
-                    stop="open", bridge=True, workers=workers)
+    x0 = _closure_start(domain, x0)
+    res = run_batch(spec, domain, x0, h, horizon, n, seed, stop="open", workers=workers)
     ok = np.isfinite(res.zeta)
     hits = np.zeros(n, dtype=bool)
     if ok.any():
         hits[ok] = region.contains(res.point[ok], "closure")
-    p = float(np.mean(hits))
-    se = math.sqrt(p * (1 - p) / n)
-    return MCEstimate(p, se, n, seed, float(np.mean(res.truncated)))
+    return _proportion(hits, seed, res.truncated)
 
 
 def records_to_csv(records, fileobj):

@@ -28,7 +28,7 @@ import numpy as np
 from .engine import check_run, run_batch
 from .errors import (ConfigError, DegenerateP, FkexitError, InvalidStart, check_inputs,
                      check_start)
-from .functions import ExpDistance, SpatialCost, TimeScaledCost, sup_on_box
+from .functions import Constant, ExpDistance, SpatialCost, TimeScaledCost, Zero, sup_on_box
 from .geometry import Cylinder, Domain
 from .levy import ProcessSpec, lift_time
 from .rng import derive_seed, effective_seed
@@ -71,7 +71,7 @@ class DirichletProblem:
 
     def __post_init__(self):
         if not (math.isfinite(self.discount) and self.discount > 0):
-            raise ValueError(f"discount={self.discount} must be a finite positive rate, e.g. 1.0")
+            raise ConfigError(f"discount={self.discount} must be a finite positive rate, e.g. 1.0")
 
     def horizon(self):
         return DEFAULT_HORIZON_DISCOUNTS / self.discount
@@ -87,6 +87,13 @@ def _summarize(values, n, seed, truncated):
     return MCEstimate(mean, se, n, seed, float(np.mean(truncated)))
 
 
+def _proportion(hits, seed, truncated):
+    """The share p of paths that hit, with its binomial error sqrt(p (1 - p) / n)."""
+    n = len(hits)
+    p = float(np.mean(hits))
+    return MCEstimate(p, math.sqrt(p * (1 - p) / n), n, seed, float(np.mean(truncated)))
+
+
 def _warn_truncated(est, horizon):
     """Warn that paths stopped at the horizon before exiting bias the estimate."""
     if est.truncated_fraction > 0:
@@ -100,8 +107,8 @@ def estimate_v(problem: DirichletProblem, spec: ProcessSpec, x0, h, n, rng,
                horizon=None, exit_rule="closure", workers=1) -> MCEstimate:
     """Feynman-Kac value at x0 from n simulated exits.
 
-    A start outside the closed domain exits immediately, so the estimate is
-    exactly g(x0) with zero error.
+    A start outside the closed domain (the open set, for the entrance time)
+    exits immediately, so the estimate is exactly g(x0) with zero error.
     """
     check_inputs(h, n)
     if exit_rule not in EXIT_RULES:
@@ -112,21 +119,25 @@ def estimate_v(problem: DirichletProblem, spec: ProcessSpec, x0, h, n, rng,
     check_run(horizon, stop)
     seed = effective_seed(rng)
     x0 = check_start(spec, problem.domain, x0)
+    if not problem.domain.contains(x0, "open" if exit_rule == "entrance" else "closure"):
+        return _exact_estimate(problem.boundary_data(x0), n, seed)
+    F, res = _path_values(problem, spec, x0, h, horizon, n, seed, stop, workers)
+    _check_clamp(problem, F)
+    return _warn_truncated(_summarize(F, n, seed, res.truncated), horizon)
+
+
+def _path_values(problem, spec, x0, h, horizon, n, seed, stop, workers):
+    """Each path's F from x0, and the batch: the running integral, plus e^(-lam zeta) g on exit."""
     lam = problem.discount
-    g = problem.boundary_data
-    if not problem.domain.contains(x0, "closure"):
-        return _exact_estimate(g(x0), n, seed)
-    if exit_rule == "entrance" and not problem.domain.contains(x0, "open"):
-        return _exact_estimate(g(x0), n, seed)
     res = run_batch(spec, problem.domain, x0, h, horizon, n, seed,
                     lam=lam, cost_fn=SpatialCost(problem.running_cost),
-                    stop=stop, bridge=True, workers=workers)
+                    stop=stop, workers=workers)
     F = res.cost.copy()
     live = ~res.truncated
     if live.any():
-        F[live] += np.exp(-lam * res.zeta[live]) * np.asarray(g(res.point[live]), float)
-    _check_clamp(problem, F)
-    return _warn_truncated(_summarize(F, n, seed, res.truncated), horizon)
+        g = np.asarray(problem.boundary_data(res.point[live]), float)
+        F[live] += np.exp(-lam * res.zeta[live]) * g
+    return F, res
 
 
 def _check_clamp(problem, F):
@@ -152,13 +163,12 @@ def estimate_discounted_exit(problem: DirichletProblem, spec: ProcessSpec, x0, h
     check_run(horizon)
     seed = effective_seed(rng)
     x0 = check_start(spec, problem.domain, x0)
-    lam = problem.discount
     if not problem.domain.contains(x0, "closure"):
         return _exact_estimate(1.0, n, seed)
-    res = run_batch(spec, problem.domain, x0, h, horizon, n, seed,
-                    lam=lam, cost_fn=None, bridge=True, workers=workers)
-    F = np.exp(-lam * res.zeta)  # exp(-inf) = 0 for truncated rows
-    F[res.truncated] = math.exp(-lam * horizon)
+    # F = exp(-lam zeta) exactly: a Zero cost runs like no cost, and adds 0.0
+    exit_moment = replace(problem, running_cost=Zero(), boundary_data=Constant(1.0))
+    F, res = _path_values(exit_moment, spec, x0, h, horizon, n, seed, "closure", workers)
+    F[res.truncated] = math.exp(-problem.discount * horizon)
     return _warn_truncated(_summarize(F, n, seed, res.truncated), horizon)
 
 
@@ -188,23 +198,14 @@ def estimate_v_nonstationary(problem: DirichletProblem, spec: ProcessSpec, t, x,
     if not math.isfinite(t):
         raise InvalidStart(f"start time t={t} must be finite")
     y0 = np.concatenate([[t], check_start(spec, cyl.base, x)])
-    if not cyl.contains(y0, "closure"):
+    if t >= T or not cyl.contains(y0, "closure"):
         return _exact_estimate(0.0, n, seed)
-    if t >= T:
-        return _exact_estimate(0.0, n, seed)
-    lifted = lift_time(spec)
-    horizon = (T - t) + 2 * h
-    if route == "direct":
-        res = run_batch(lifted, cyl, y0, h, horizon, n, seed,
-                        lam=0.0, cost_fn=SpatialCost(problem.running_cost),
-                        workers=workers)
-        F = res.cost
-    else:
-        lam = problem.discount
-        res = run_batch(lifted, cyl, y0, h, horizon, n, seed,
-                        lam=lam, cost_fn=TimeScaledCost(problem.running_cost, lam),
-                        workers=workers)
-        F = math.exp(-lam * t) * res.cost
+    lam = 0.0 if route == "direct" else problem.discount
+    cost_fn = (SpatialCost(problem.running_cost) if route == "direct"
+               else TimeScaledCost(problem.running_cost, lam))
+    res = run_batch(lift_time(spec), cyl, y0, h, (T - t) + 2 * h, n, seed,
+                    lam=lam, cost_fn=cost_fn, workers=workers)
+    F = math.exp(-lam * t) * res.cost  # e^0 = 1: the direct route's F is its cost
     capped = res.truncated | (np.nan_to_num(res.point[:, 0], nan=-1.0) >= T - 1e-9)
     return _summarize(F, n, seed, capped)
 

@@ -1,9 +1,9 @@
 """Named running-cost and boundary-data functions.
 
 All callables are vectorized: given points of shape (..., d) they return
-values of shape (...).  Named families serialize to config dictionaries and
-carry a global sup bound where one is available in closed form, which feeds
-the deterministic |F| clamp of the Feynman-Kac estimators.
+values of shape (...).  Named families carry a global sup bound where one
+is available in closed form, which feeds the deterministic |F| clamp of the
+Feynman-Kac estimators.
 
 Cost functions used inside the simulation engine take the simulated state
 alone, ``f(points)``; :class:`SpatialCost` adapts a named function and
@@ -24,7 +24,7 @@ import numpy as np
 
 
 class NamedFunction:
-    """Function on R^d with a config form and an optional global sup bound."""
+    """Function on R^d with an optional global sup bound."""
 
     def __call__(self, x):
         raise NotImplementedError
@@ -32,9 +32,6 @@ class NamedFunction:
     def sup_bound(self):
         """Upper bound for sup |f| over R^d, or None when unknown."""
         return None
-
-    def to_config(self):
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -47,9 +44,6 @@ class Constant(NamedFunction):
 
     def sup_bound(self):
         return abs(self.value)
-
-    def to_config(self):
-        return {"name": "constant", "value": self.value}
 
 
 def Zero() -> Constant:
@@ -77,10 +71,6 @@ class GaussianBump(NamedFunction):
     def sup_bound(self):
         return abs(self.amplitude)
 
-    def to_config(self):
-        return {"name": "gaussian", "center": self.center.tolist(),
-                "width": self.width, "amplitude": self.amplitude}
-
 
 @dataclass(frozen=True)
 class ExpDistance(NamedFunction):
@@ -100,9 +90,6 @@ class ExpDistance(NamedFunction):
 
     def sup_bound(self):
         return abs(self.scale)
-
-    def to_config(self):
-        return {"name": "exp-distance", "anchor": self.anchor.tolist(), "scale": self.scale}
 
 
 def sup_on_box(fn, lo, hi):

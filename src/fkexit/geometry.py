@@ -349,18 +349,21 @@ class Ball(Domain):
 
     def sample_boundary(self, n, rng: np.random.Generator):
         if self.d == 1:
-            pts = np.empty((n, 1))
-            pts[0::2, 0] = self.center[0] - self.radius
-            pts[1::2, 0] = self.center[0] + self.radius
-            return pts
-        if self.d == 2:
+            dirs = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)[:, None]
+        elif self.d == 2:
             # stratified in angle
             ang = 2 * np.pi * (np.arange(n) + rng.uniform(0, 1, n)) / n
             dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         else:
             dirs = rng.standard_normal((n, self.d))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        return self.center + self.radius * dirs
+        pts = self.center + self.radius * dirs
+        # rounding can leave a point outside the closure: step it inward an ulp at a time
+        out = ~self._inside(pts, strict=False)
+        while out.any():
+            pts[out] = np.nextafter(pts[out], self.center)
+            out = ~self._inside(pts, strict=False)
+        return pts
 
 
 @dataclass(frozen=True)

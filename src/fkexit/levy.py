@@ -57,8 +57,6 @@ BLOCK_ELEMENTS = 32768
 class DriftField:
     """Vector field b(x); callables are vectorized over (n, d) inputs."""
 
-    name = "drift"
-
     def __call__(self, x):
         raise NotImplementedError
 
@@ -77,7 +75,6 @@ class DriftField:
 @dataclass(frozen=True)
 class ConstantDrift(DriftField):
     velocity: np.ndarray
-    name = "constant"
 
     def __post_init__(self):
         object.__setattr__(self, "velocity", np.atleast_1d(np.asarray(self.velocity, float)))
@@ -106,7 +103,6 @@ class AffineDrift(DriftField):
 
     A: np.ndarray
     c: np.ndarray
-    name = "affine"
 
     def __post_init__(self):
         object.__setattr__(self, "A", np.atleast_2d(np.asarray(self.A, float)))
@@ -123,8 +119,6 @@ class AffineDrift(DriftField):
 @dataclass(frozen=True)
 class ParabolicDrift(DriftField):
     """Planar field b(x) = (1, 2 x1); its flow rides parabolas x2 = x1^2 + C."""
-
-    name = "parabolic"
 
     def __call__(self, x):
         x = np.asarray(x, float)
@@ -145,7 +139,6 @@ class TimeAugmentedDrift(DriftField):
     """Drift of the time-extended process y = (t, x): dy = (1, b(x)) dt."""
 
     base: DriftField
-    name = "time-augmented"
 
     def __call__(self, y):
         y = np.asarray(y, float)
@@ -186,8 +179,6 @@ def drift_from_config(cfg: dict) -> DriftField:
 
 @dataclass(frozen=True)
 class NoNoise:
-    kind = "none"
-
     def to_config(self):
         return {"kind": "none"}
 
@@ -195,7 +186,6 @@ class NoNoise:
 @dataclass(frozen=True)
 class BrownianNoise:
     eps: float
-    kind = "brownian"
 
     def __post_init__(self):
         if not (math.isfinite(self.eps) and self.eps >= 0):
@@ -209,7 +199,6 @@ class BrownianNoise:
 class StableNoise:
     alpha: float
     sigma: float
-    kind = "stable"
 
     def __post_init__(self):
         if not 0 < self.alpha < 2:

@@ -18,13 +18,13 @@ any of which forces regularity without sampling.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .engine import run_batch
-from .errors import NoConeData, StepTooCoarse
+from .errors import ConfigError, NoConeData, StepTooCoarse
+from .feynman_kac import _proportion
 from .geometry import Domain
 from .levy import ProcessSpec, StableNoise
 from .rng import as_stream, derive_seed, effective_seed
@@ -66,23 +66,19 @@ def probe_regularity(spec: ProcessSpec, domain: Domain, x, windows=DEFAULT_WINDO
     """
     x = np.atleast_1d(np.asarray(x, float))
     windows = sorted(windows, reverse=True)
+    if not windows:
+        raise ConfigError("windows=[] must hold one or more probe windows, e.g. [0.1, 0.01]")
     if h is None:
         h = windows[-1] / 100.0
     if h > windows[-1] / 10.0:
         raise StepTooCoarse(f"h={h} too coarse for window {windows[-1]}; need h <= window/10")
-    res = run_batch(spec, domain, x, h, windows[0], n, effective_seed(rng), bridge=True)
-    probs = []
-    for w in windows:
-        hit = res.zeta <= w + 1e-12
-        p = float(np.mean(hit))
-        probs.append((w, p, math.sqrt(p * (1 - p) / n)))
-    p_min, se_min = probs[-1][1], probs[-1][2]
-    if p_min >= 1.0 - 3.0 * se_min:
-        cls = "regular"
-    elif p_min <= 3.0 * se_min:
-        cls = "irregular"
-    else:
-        cls = "inconclusive"
+    seed = effective_seed(rng)
+    res = run_batch(spec, domain, x, h, windows[0], n, seed)
+    ests = [_proportion(res.zeta <= w + 1e-12, seed, res.truncated) for w in windows]
+    p, se = ests[-1].mean, ests[-1].std_error
+    cls = ("regular" if p >= 1.0 - 3.0 * se else "irregular" if p <= 3.0 * se
+           else "inconclusive")
+    probs = [(w, e.mean, e.std_error) for w, e in zip(windows, ests)]
     return RegularityReport(x, probs, "none-applicable", cls)
 
 

@@ -140,7 +140,7 @@ def test_criterion_4_exit_operator_unit_vectors():
 
         spec_ball = ProcessSpec(ZeroDrift(2), StableNoise(1.5, 1.0), 2)
         r1 = run_batch(spec_ball, Ball([0, 0], 1.0), [0.0, 0.0], 1e-3, 20.0, 60_000, 11)
-        r2 = run_batch(SPEC_BROWN, O, [0.5], 1e-3, 20.0, 40_000, 12, bridge=True)
+        r2 = run_batch(SPEC_BROWN, O, [0.5], 1e-3, 20.0, 40_000, 12)
         assert int(np.sum(r1.zeta_hat > r1.zeta)) == 0
         assert int(np.sum(r2.zeta_hat > r2.zeta)) == 0
 

@@ -250,3 +250,78 @@ def test_workers_below_one_is_config_error(tmp_path, capsys, workers):
     assert main(["--config", str(cfg_path), "--out", str(tmp_path), "--workers", workers]) == 2
     assert f"workers={workers} must be an integer >= 1, e.g. 1" in capsys.readouterr().err
     assert not (tmp_path / "p.csv").exists()
+
+
+BROWN_1D = {"drift": {"name": "zero", "d": 1}, "noise": {"kind": "brownian", "eps": 1.0}, "d": 1}
+DRIFT_1D = {"drift": {"name": "constant", "velocity": [1.0]}, "noise": {"kind": "none"}, "d": 1}
+UNIT = {"shape": "interval", "a": 0, "b": 1}
+
+
+def _main_on(tmp_path, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return main(["--config", str(cfg_path), "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("experiment,params,match", [
+    ("attainment-witness", {"spec": DRIFT_1D, "domain": UNIT, "x0": [0.0], "discount": 0},
+     "discount=0.0 must be a finite positive rate"),
+    ("fractional-hjb", {"nt": 1, "nx": 1, "discount": 0}, "discount=0.0 must be"),
+    ("drift-interval", {"eps": 1.0, "grid": [0.5, 1.5]}, "must hold points of [0, 1]"),
+    ("regularity-scan", {"spec": BROWN_1D, "domain": UNIT, "windows": []},
+     "windows=[] must hold one or more probe windows"),
+    ("fractional-hjb", {"nt": "x", "nx": 1}, "params.nt='x' must be an integer >= 1"),
+    ("fractional-hjb", [1, 2], "params=[1, 2] must be a JSON object"),
+], ids=["witness-zero-discount", "hjb-zero-discount", "grid-off-unit-interval",
+        "no-windows", "string-nt", "params-list"])
+def test_bad_params_are_config_errors(tmp_path, capsys, experiment, params, match):
+    cfg = {"experiment": experiment, "params": params, "mc": {"n": 10, "h": 1e-3, "seed": 1},
+           "output": {"path": "a.out"}}
+    assert _main_on(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and match in err
+    assert not (tmp_path / "a.out").exists()
+
+
+def test_fractional_hjb_grid_is_bounded_and_the_same_for_any_workers(tmp_path):
+    cfg = {"experiment": "fractional-hjb", "params": {"nt": 2, "nx": 2},
+           "mc": {"n": 200, "h": 1e-2, "seed": 3}, "output": {"path": "f.csv"}}
+    paths = [run(cfg, workers=w, out_dir=str(tmp_path / f"w{w}")) for w in (1, 2)]
+    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    _, rows = _read_csv(paths[0])
+    assert rows[0] == ["t", "x", "v1_direct", "se_direct", "v1_lifted", "se_lifted"]
+    assert len(rows) == 5
+    for t, _, v1, se1, v2, se2 in (map(float, r) for r in rows[1:]):
+        for v, se in ((v1, se1), (v2, se2)):
+            assert 0.0 <= v <= (1.0 - t) + 3.0 * se
+
+
+def test_viscosity_check_v_eps(tmp_path):
+    cfg = {"experiment": "viscosity-check",
+           "params": {"target": "v-eps", "eps": 1.0, "points": [0.0, 0.5], "grid_nodes": 2001},
+           "output": {"path": "v.json"}}
+    path = run(cfg, out_dir=str(tmp_path))
+    doc = json.loads("".join(l for l in open(path) if not l.startswith("#")))
+    assert [r["point"] for r in doc] == [[0.0], [0.5]]
+    assert all(r["mode"] == "generalized" and r["violations"] == [] for r in doc)
+
+
+def test_attainment_witness_degenerate_artifact(tmp_path):
+    # from x0 = 1 the unit flow exits at once, so p = 1 and no witness exists
+    cfg = {"experiment": "attainment-witness",
+           "params": {"spec": DRIFT_1D, "domain": UNIT, "x0": [1.0]},
+           "mc": {"n": 100, "h": 1e-3, "seed": 3}, "output": {"path": "w.json"}}
+    path = run(cfg, out_dir=str(tmp_path))
+    doc = json.loads(open(path).read().splitlines()[-1])
+    assert doc == {"degenerate": True, "p": 1.0, "p_se": 0.0, "x0": [1.0]}
+
+
+def test_runtime_error_exits_3(tmp_path, capsys):
+    # h = 1e-3 is too coarse for the probe window 1e-3 (it needs h <= 1e-4)
+    cfg = {"experiment": "regularity-scan",
+           "params": {"spec": BROWN_1D, "domain": UNIT, "n_points": 2, "windows": [1e-3]},
+           "mc": {"n": 10, "h": 1e-3, "seed": 1}, "output": {"path": "r.csv"}}
+    assert _main_on(tmp_path, cfg) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error") and "too coarse" in err
+    assert not (tmp_path / "r.csv").exists()

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 import pathlib
 import warnings
@@ -237,7 +238,7 @@ def test_worker_count_leaves_batch_unchanged():
     # chunk's schedule follows its own live rows, and a Constant cost takes
     # the exact dyadic route
     for fn in (Flat(1.0), Constant(1.0)):
-        kw = dict(lam=1.0, cost_fn=SpatialCost(fn), bridge=True)
+        kw = dict(lam=1.0, cost_fn=SpatialCost(fn))
         one, two = [run_batch(SPEC_BROWN, Interval(0, 1), [0.5], 1e-3, 20.0, 2 * CHUNK_SIZE + 7,
                               4, workers=w, **kw) for w in (1, 2)]
         for f in EXIT_FIELDS + ("cost",):
@@ -296,8 +297,7 @@ def test_dyadic_mean_exit_time_matches_closed_form(x, h):
     # step bias, so h only sets the floor step.  Next to a face (x = 0.02,
     # 0.98) the far face sets the step, and most paths cross within it
     n = 20_000
-    res = run_batch(SPEC_BROWN, Interval(0, 1), [x], h, 20.0, n, 31 + int(100 * x),
-                    bridge=True)
+    res = run_batch(SPEC_BROWN, Interval(0, 1), [x], h, 20.0, n, 31 + int(100 * x))
     assert not res.truncated.any()
     assert np.isin(res.point[:, 0], [0.0, 1.0]).all()
     p1 = (1.0 - math.exp(-2.0 * x)) / (1.0 - math.exp(-2.0))
@@ -314,9 +314,9 @@ def assert_dyadic_box_matches_blocked_route(x0, seeds, laws=()):
     box = Box([0.0, 0.0], [1.0, 0.8])
     v, eps, n = [0.5, -0.3], 0.7, 10_000
     coarse = run_batch(ProcessSpec(ConstantDrift(v), BrownianNoise(eps), 2), box, x0, 1e-2,
-                       20.0, n, seeds[0], bridge=True)
+                       20.0, n, seeds[0])
     fine = run_batch(ProcessSpec(AffineDrift(np.zeros((2, 2)), v), BrownianNoise(eps), 2), box,
-                     x0, 1e-4, 20.0, n, seeds[1], bridge=True)
+                     x0, 1e-4, 20.0, n, seeds[1])
     assert not (coarse.truncated.any() or fine.truncated.any())
     assert box.on_boundary(coarse.point).all()
     for f in (lambda r: np.exp(-r.zeta), lambda r: r.point[:, 0], lambda r: r.point[:, 1],
@@ -345,7 +345,7 @@ def test_dyadic_box_corner_matches_blocked_route_in_law():
 def test_dyadic_start_on_face_or_outside_exits_at_once(domain, x0):
     spec = ProcessSpec(ConstantDrift(np.ones(domain.d)), BrownianNoise(1.0), domain.d)
     res = run_batch(spec, domain, x0, 1e-3, 5.0, 50, 3, lam=1.0,
-                    cost_fn=SpatialCost(Constant(2.0)), bridge=True)
+                    cost_fn=SpatialCost(Constant(2.0)))
     for f in ("zeta", "zeta_hat", "steps", "cost"):
         np.testing.assert_array_equal(getattr(res, f), 0, err_msg=f)
     np.testing.assert_array_equal(res.point, np.tile(x0, (50, 1)))
@@ -378,7 +378,7 @@ def test_dyadic_horizon_beyond_int32_steps():
     # eps = 1e-3 from the middle: every path runs to the horizon of 3e9 steps,
     # one dyadic step per binary digit of 3e9, the first of 2^31 of them
     spec = ProcessSpec(ZeroDrift(1), BrownianNoise(1e-3), 1)
-    res = run_batch(spec, Interval(0, 1), [0.5], 1e-9, 3.0, 20, 5, bridge=True)
+    res = run_batch(spec, Interval(0, 1), [0.5], 1e-9, 3.0, 20, 5)
     assert res.truncated.all()
     np.testing.assert_array_equal(res.steps, 3_000_000_000)
 
@@ -496,7 +496,7 @@ SPEC_BROWN_AFFINE = ProcessSpec(AffineDrift([[0.0]], [1.0]), BrownianNoise(1.0),
     (SPEC_BALL, Ball([0.0, 0.0], 1.0), [0.0, 0.0], 1e-3),
 ], ids=["brownian-1e-4", "brownian-1e-3", "brownian-1e-2", "stable-ball-1e-3"])
 def test_closed_form_cost_blocked_kernel(spec, domain, x0, h):
-    kw = dict(lam=1.0, stop="closure", bridge=True)
+    kw = dict(lam=1.0, stop="closure")
     closed, general = [run_batch(spec, domain, x0, h, 20.0, 2000, 5,
                                  cost_fn=SpatialCost(fn), **kw)
                        for fn in (Constant(2.5), Flat(2.5))]
@@ -507,8 +507,7 @@ def test_closed_form_cost_blocked_kernel(spec, domain, x0, h):
 def test_closed_form_cost_loop_kernel():
     for stream_id in range(3):
         runs = [run_single(SPEC_BROWN_AFFINE, Interval(0, 1), [0.3], 1e-4, 20.0,
-                           RngStream(9, stream_id), lam=1.0, cost_fn=SpatialCost(fn),
-                           bridge=True)
+                           RngStream(9, stream_id), lam=1.0, cost_fn=SpatialCost(fn))
                 for fn in (Constant(1.0), Flat(1.0))]
         assert_same_exits_and_cost(*runs)
 
@@ -525,7 +524,7 @@ def test_closed_form_cost_stable_cylinder_direct_route():
 
 def test_closed_form_cost_truncated_paths():
     closed, general = [run_batch(SPEC_BROWN_AFFINE, Interval(0, 1), [0.5], 1e-4, 0.05, 1000, 8,
-                                 lam=1.0, cost_fn=SpatialCost(fn), bridge=True)
+                                 lam=1.0, cost_fn=SpatialCost(fn))
                        for fn in (Constant(1.0), Flat(1.0))]
     assert closed.truncated.any() and not closed.truncated.all()
     assert_same_exits_and_cost(closed, general)
@@ -659,9 +658,9 @@ SPEC_BROWN_2D = ProcessSpec(ConstantDrift([1.0, 0.3]), BrownianNoise(0.5), 2)
 @pytest.mark.parametrize("spec,h,horizon,kw", [
     (lift_time(SPEC_STABLE_1D), 0.25, 1.5, dict(lam=1.0, cost_fn=SpatialCost(Flat(1.0)))),
     (lift_time(SPEC_STABLE_1D), 1e-3, 1.002, dict(lam=1.0, cost_fn=SpatialCost(Constant(1.0)))),
-    (lift_time(SPEC_BROWN), 0.25, 1.5, dict(bridge=True)),
-    (SPEC_BROWN_2D, 1e-3, 20.0, dict(bridge=True)),
-    (SPEC_BROWN_2D, 1e-3, 20.0, dict(bridge=True, cost_fn=SpatialCost(Flat(1.0)))),
+    (lift_time(SPEC_BROWN), 0.25, 1.5, dict()),
+    (SPEC_BROWN_2D, 1e-3, 20.0, dict()),
+    (SPEC_BROWN_2D, 1e-3, 20.0, dict(cost_fn=SpatialCost(Flat(1.0)))),
 ], ids=["lifted-stable-lid-landings", "lifted-stable-constant-cost", "lifted-brownian",
         "brownian-dyadic", "brownian-blocked-bridge"])
 def test_cylinder_and_box_with_the_same_faces_give_the_same_bytes(spec, h, horizon, kw):
@@ -688,3 +687,16 @@ def test_engine_names_no_shape():
         elif isinstance(node, ast.Constant) and node.value in shapes | geometry:
             found.append((node.lineno, repr(node.value)))
     assert not found, f"engine.py reads shape code at (line, name) {found}"
+
+
+def test_no_bridge_switch():
+    # run_batch runs the bridge test wherever it is exact and run_single never
+    # does, so no caller can leave a batch on the biased Euler exit
+    for entry in (run_batch, run_single):
+        assert "bridge" not in inspect.signature(entry).parameters, entry.__name__
+    found = []
+    for path in sorted(pathlib.Path(engine.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.keyword) and node.arg == "bridge":
+                found.append((path.name, node.value.lineno))
+    assert not found, f"modules pass bridge= at (file, line) {found}"

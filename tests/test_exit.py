@@ -130,6 +130,13 @@ def test_refinement_monotonicity():
     assert np.median(gen_err[2]) <= np.median(gen_err[1]) + 1e-12
 
 
+def test_exit_point_avoidance_rejects_start_outside():
+    # as exit_coincidence and sample_exit do; it used to estimate p = 1 here
+    with pytest.raises(InvalidStart, match="outside the closed domain"):
+        exit_point_avoidance(SPEC_BROWN, Interval(0, 1), [2.0], Interval(0.9, 2.0),
+                             1e-3, 5.0, 100, 5)
+
+
 def test_exit_point_avoidance():
     # the neighborhood hypothesis holds for the unit flow: the open-set exit
     # point is always 1, never inside (-1/2, 1/2)

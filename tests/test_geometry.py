@@ -93,6 +93,18 @@ class TestBoundarySampler:
         pts = dom.sample_boundary(64, RngStream(2).generator())
         assert np.all(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= 1e-12)
 
+    @pytest.mark.parametrize("center,radius", [
+        ([0.1], 0.3), ([0.3, -0.2], 0.7), ([0.1, 0.2, 0.3], 1.3), ([0.0, 0.0, 0.0], 1.0),
+    ])
+    def test_ball_points_lie_in_the_closure_on_the_sphere(self, center, radius):
+        # c + r u rounds outside the closed ball for up to 15% of the points
+        # unless the sampler pulls them back in
+        dom = Ball(center, radius)
+        pts = dom.sample_boundary(4000, RngStream(5).generator())
+        assert dom.contains(pts, "closure").all()
+        dist = np.linalg.norm(pts - dom.center, axis=1)
+        assert np.all(np.abs(dist - radius) <= 1e-12 * radius)
+
     def test_rect_side_proportions(self):
         dom = parabolic_rect()  # perimeter 6: horizontal sides 2/6 each, vertical 1/6
         pts = dom.sample_boundary(400, RngStream(3).generator())
