@@ -14,10 +14,11 @@ same schedule for one row, so a single trajectory matches its skeleton knot
 for knot.
 Within a step, drift/Brownian segments are treated as linear and their
 boundary crossing is the earliest closed-form crossing over the domain's
-faces (``Domain.faces()``; the engine keeps no shape geometry); where all
-faces are flat and every axis is Brownian, :func:`run_batch` always runs a
-Brownian-bridge test that catches crossings that both endpoints miss
-(:func:`run_single` never does, so that it keeps to its skeleton's stream).
+faces (``geometry.segment_crossing``, shared with the path operators; the
+engine keeps no shape geometry); where all faces are flat and every axis is
+Brownian, :func:`run_batch` always runs a Brownian-bridge test that catches
+crossings that both endpoints miss (:func:`run_single` never does, so that
+it keeps to its skeleton's stream).
 A stable step is refined only at a flat face across a noiseless coordinate
 (a lifted spec's clock), which its drift alone crosses; otherwise a jump is
 the exit itself, and its landing point is the exit point (boundary data
@@ -59,7 +60,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidStep, check_inputs, check_start, check_workers
 from .functions import Constant, SpatialCost, gauss_legendre
-from .geometry import AxisFace, Domain
+from .geometry import AxisFace, Domain, segment_crossing
 from .levy import (BrownianNoise, ProcessSpec, StableNoise, _velocity, block_steps,
                    euler_block, simulate_path)
 from .paths import evaluate, exit_time, left_limit
@@ -91,29 +92,6 @@ class BatchResult:
         return BatchResult(*[np.concatenate([getattr(self, f), getattr(other, f)])
                              for f in ("zeta", "zeta_hat", "point", "point_hat",
                                        "via_jump", "truncated", "steps", "cost")])
-
-
-# ---------------------------------------------------------------------------
-# Closed-form crossing of a linear segment.
-
-
-def segment_crossing(domain: Domain, a, b):
-    """(s, x): first face-crossing fraction of segments a->b and the snapped point.
-
-    Requires each b to lie outside the open set (it may sit on a face) and
-    each a in the closure; for the convex shapes here the earliest crossing
-    over ``domain.faces()`` is then the exit.  Ties go to the earlier face.
-    """
-    faces = domain.faces()
-    if faces is None:  # membership-only domains: no closed form, exit at the step end
-        return np.ones(len(a)), b.copy()
-    s, x = faces[0].segment_crossing(a, b)
-    for face in faces[1:]:
-        sf, xf = face.segment_crossing(a, b)
-        better = sf < s
-        s[better] = sf[better]
-        x[better] = xf[better]
-    return s, x
 
 
 # 1/(k+2)! for k = 0..16: the series of (e^x - 1 - x)/x^2, cut below 1e-17 for |x| < 1
@@ -269,7 +247,6 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge
     via = np.zeros(m, bool)
     steps = np.zeros(m, dtype=int)
     cost = np.zeros(m)
-    open_found = np.zeros(m, bool)
 
     stable = isinstance(spec.noise, StableNoise) and spec.noise.sigma > 0
     # a stable step moves the noiseless coordinates (a lifted spec's clock)
@@ -326,27 +303,25 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge
                         jump_exit[r2] = False
             else:
                 # a bridge exit is placed at the step's midpoint, on its face
-                s, xex[rows] = segment_crossing(domain, a, b)
+                s, xex[rows] = segment_crossing(domain, a, b, stop)
                 br = bridge_face[rows] >= 0
                 s[br] = 0.5
                 xex[rows[br]] = _snap(bridge_faces, bridge_face[rows[br]], 0.5 * (a[br] + b[br]))
                 tau[rows] = (k0 + je + s) * h
 
         if stop == "closure":
-            nf = ~open_found[idx]
+            nf = np.isinf(zhat[idx])  # rows yet to leave the open set
             touch = nf & (first_open < exit_step)
             if touch.any():
                 g = idx[touch]
                 jo = first_open[touch]
                 zhat[g] = (k0 + jo + 1.0) * h
                 pt_hat[g] = X[touch, jo + 1]
-                open_found[g] = True
             sync = nf & exited & (first_open >= exit_step)
             if sync.any():
                 g = idx[sync]
                 zhat[g] = tau[sync]
                 pt_hat[g] = xex[sync]
-                open_found[g] = True
 
         if cost_fn is not None:
             lv = np.asarray(cost_fn(X), float)
@@ -433,7 +408,7 @@ def _run_dyadic(spec, faces, x0, h, n_steps, gen, m):
     pt = np.full((m, spec.d), np.nan)
     steps = np.full(m, n_steps)
     dist = np.array([f.distance(x0[None, :]) for f in faces])  # (faces, rows)
-    if dist.min() <= 0.0:  # a start on a face or outside exits at once
+    if dist.min() <= 0.0:  # a start on a face exits at once
         zeta[:] = 0.0
         pt[:] = x0
         steps[:] = 0
@@ -580,13 +555,18 @@ def _run(spec, domain, x0, h, horizon, chunks, lam, cost_fn, stop, bridged, work
     """Exits of the chunks, each a (stream, rows) pair, concatenated in chunk order.
 
     ``bridged`` lets each chunk run the bridge test, and with it the dyadic
-    route, wherever :func:`_bridge_faces` finds that test exact.
+    route, wherever :func:`_bridge_faces` finds that test exact.  A start
+    outside the closure exits at once on every route, at time 0 and at x0.
     """
     n = sum(m for _, m in chunks)
     check_inputs(h, n)
     check_workers(workers)
     check_run(horizon, stop)
     x0 = check_start(spec, domain, x0)
+    if not domain.contains(x0, "closure"):  # no draws
+        zero, point = np.zeros(n), np.tile(x0, (n, 1))
+        return BatchResult(zero, zero.copy(), point, point.copy(), np.zeros(n, bool),
+                           np.zeros(n, bool), np.zeros(n, dtype=int), zero.copy())
     if spec.is_deterministic:
         return _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, stop, n)
     if not horizon / h < 2.0 ** 62:  # step counts are int64

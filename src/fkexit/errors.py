@@ -74,11 +74,18 @@ class ConfigError(FkexitError, ValueError):
 # Input checks shared by the engine, the estimators and path simulation.
 
 
-def require_key(cfg, key, hint):
-    """cfg[key], or a ConfigError that names the missing key and how to add it."""
+def require_key(cfg, key, hint, convert=None):
+    """cfg[key], through ``convert`` if given; a ConfigError that names the key and
+    how to write it if the key is missing or ``convert`` raises TypeError/ValueError."""
     if key not in cfg:
         raise ConfigError(f"missing config key {key!r}; {hint}")
-    return cfg[key]
+    if convert is None:
+        return cfg[key]
+    try:
+        return convert(cfg[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key!r}={cfg[key]!r} has the wrong kind of value; "
+                          f"{hint}") from None
 
 
 def check_inputs(h, n=1):

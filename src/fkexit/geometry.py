@@ -13,6 +13,7 @@ its closure is the whole point of the exit operators built on top.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,15 +68,18 @@ class AxisFace:
         """Signed distance of the (m, d) points x to the face, positive on the domain's side."""
         return self.side * (self.value - x[:, self.axis])
 
-    def segment_crossing(self, a, b):
+    def segment_crossing(self, a, b, mode="open"):
         """(s, x) of the (m, d) segments a -> b: the fraction in [0, 1] where each
-        meets the face, inf where b lies strictly inside, and the point snapped on it.
+        meets the face, and the point snapped on it.  s is inf where b lies
+        inside the face: strictly inside under ``mode="open"``, on or inside it
+        under "closure".
 
         A segment that runs along the face (both ends on it) meets it at s = 0.
         """
         ai, bi = a[:, self.axis], b[:, self.axis]
         rel = bi - ai
-        beyond = bi >= self.value if self.side > 0 else bi <= self.value
+        depth = self.distance(b)
+        beyond = depth < 0 if mode == "closure" else depth <= 0
         s = np.divide(self.value - ai, rel, out=np.zeros(len(a)), where=beyond & (rel != 0))
         s = np.where(beyond, np.clip(s, 0.0, 1.0), np.inf)
         x = a + np.minimum(s, 1.0)[:, None] * (b - a)
@@ -112,10 +116,11 @@ class SphereFace:
             y[list(self.axes)] = c + np.eye(len(self.axes))[0] * self.radius
         return y
 
-    def segment_crossing(self, a, b):
+    def segment_crossing(self, a, b, mode="open"):
         """(s, x) of the (m, d) segments a -> b: the fraction in [0, 1] where each
-        leaves the sphere, inf where b lies strictly inside, and the point
-        projected radially onto it (row-wise, unlike :meth:`snap`)."""
+        leaves the sphere, and the point projected radially onto it (row-wise,
+        unlike :meth:`snap`).  s is inf where b lies inside as in
+        :meth:`AxisFace.segment_crossing`, and 0 for a point (a == b)."""
         ax = list(self.axes)
         c = np.asarray(self.center)
         rel = b[:, ax] - a[:, ax]
@@ -127,12 +132,36 @@ class SphereFace:
         with np.errstate(divide="ignore", invalid="ignore"):
             s = (-bb + np.sqrt(disc)) / (2 * aa)
         s = np.clip(np.where(np.isfinite(s), s, 1.0), 0.0, 1.0)
+        s[aa == 0.0] = 0.0
         x = a + s[:, None] * (b - a)
         d = x[:, ax] - c
         nrm = np.linalg.norm(d, axis=1, keepdims=True)
         x[:, ax] = c + d * (self.radius / np.maximum(nrm, 1e-300))
-        s[np.linalg.norm(b[:, ax] - c, axis=-1) < self.radius] = np.inf
+        rb = np.linalg.norm(b[:, ax] - c, axis=-1)
+        s[rb <= self.radius if mode == "closure" else rb < self.radius] = np.inf
         return s, x
+
+
+def segment_crossing(domain, a, b, mode="open"):
+    """(s, x): first face-crossing fraction of the (m, d) segments a -> b and the snapped point.
+
+    A face counts where b lies on or past it (``mode="open"``), or strictly
+    past it ("closure": a segment along one face leaving through another is
+    placed at the other).  With a in the closure and b outside the ``mode``
+    set, the earliest count over ``domain.faces()`` is the exit of these
+    convex shapes; s is inf where none counts, and ties go to the earlier
+    face.  A domain without faces exits at the segment end, s = 1.
+    """
+    faces = domain.faces()
+    if faces is None:
+        return np.ones(len(a)), b.copy()
+    s, x = faces[0].segment_crossing(a, b, mode)
+    for face in faces[1:]:
+        sf, xf = face.segment_crossing(a, b, mode)
+        better = sf < s
+        s[better] = sf[better]
+        x[better] = xf[better]
+    return s, x
 
 
 # ---------------------------------------------------------------------------
@@ -485,20 +514,19 @@ def domain_from_config(cfg: dict) -> Domain:
     """Domain of shape ``cfg["shape"]``; ConfigError for an unknown shape or a missing key."""
     shape = cfg.get("shape")
 
-    def key(k, example):
-        return require_key(cfg, k, f"domain shape {shape!r} needs it, e.g. {example}")
+    def key(k, example, convert=float):
+        return require_key(cfg, k, f"domain shape {shape!r} needs it, e.g. {example}", convert)
 
+    floats = functools.partial(np.asarray, dtype=float)
     if shape == "box":
-        return Box(np.asarray(key("lo", '"lo": [0.0, 0.0]'), float),
-                   np.asarray(key("hi", '"hi": [1.0, 1.0]'), float))
+        return Box(key("lo", '"lo": [0.0, 0.0]', floats), key("hi", '"hi": [1.0, 1.0]', floats))
     if shape == "interval":
         return Interval(key("a", '"a": 0'), key("b", '"b": 1'))
     if shape == "ball":
-        return Ball(np.asarray(key("center", '"center": [0.0, 0.0]'), float),
-                    float(key("radius", '"radius": 1.0')))
+        return Ball(key("center", '"center": [0.0, 0.0]', floats), key("radius", '"radius": 1.0'))
     if shape == "cylinder":
-        base = key("base", '"base": {"shape": "interval", "a": -1, "b": 1}')
-        return Cylinder(float(key("T", '"T": 1.0')), domain_from_config(base))
+        base = key("base", '"base": {"shape": "interval", "a": -1, "b": 1}', dict)
+        return Cylinder(key("T", '"T": 1.0'), domain_from_config(base))
     if shape == "parabolic-rect":
         return parabolic_rect()
     raise ConfigError(f"unknown domain shape {shape!r}; use one of "

@@ -155,20 +155,19 @@ def drift_from_config(cfg: dict) -> DriftField:
     """Drift named by ``cfg["name"]``; ConfigError for an unknown name or a missing key."""
     name = cfg.get("name")
 
-    def key(k, example):
-        return require_key(cfg, k, f"drift {name!r} needs it, e.g. {example}")
+    def key(k, example, convert=lambda v: np.asarray(v, float)):
+        return require_key(cfg, k, f"drift {name!r} needs it, e.g. {example}", convert)
 
     if name == "constant":
-        return ConstantDrift(np.asarray(key("velocity", '"velocity": [1.0]'), float))
+        return ConstantDrift(key("velocity", '"velocity": [1.0]'))
     if name == "zero":
-        return ZeroDrift(int(key("d", '"d": 1')))
+        return ZeroDrift(key("d", '"d": 1', int))
     if name == "affine":
-        return AffineDrift(np.asarray(key("A", '"A": [[-1.0]]'), float),
-                           np.asarray(key("c", '"c": [0.0]'), float))
+        return AffineDrift(key("A", '"A": [[-1.0]]'), key("c", '"c": [0.0]'))
     if name == "parabolic":
         return ParabolicDrift()
     if name == "time-augmented":
-        return TimeAugmentedDrift(drift_from_config(key("base", '"base": {"name": "zero"}')))
+        return TimeAugmentedDrift(drift_from_config(key("base", '"base": {"name": "zero"}', dict)))
     raise ConfigError(f"unknown drift {name!r}; use one of "
                       "['constant', 'zero', 'affine', 'parabolic', 'time-augmented']")
 
@@ -216,7 +215,7 @@ def noise_from_config(cfg: dict):
     kind = cfg.get("kind")
 
     def key(k, example):
-        return float(require_key(cfg, k, f"noise kind {kind!r} needs it, e.g. {example}"))
+        return require_key(cfg, k, f"noise kind {kind!r} needs it, e.g. {example}", float)
 
     if kind == "none":
         return NoNoise()
@@ -268,15 +267,15 @@ class ProcessSpec:
 def spec_from_config(cfg: dict) -> ProcessSpec:
     """Spec from its ``drift``, ``noise`` and ``d``; ConfigError for a missing key."""
 
-    def key(k, example):
-        return require_key(cfg, k, f"a process spec needs it, e.g. {example}")
+    def key(k, example, convert):
+        return require_key(cfg, k, f"a process spec needs it, e.g. {example}", convert)
 
-    d = int(key("d", '"d": 1'))
-    drift_cfg = dict(key("drift", '"drift": {"name": "zero"}'))
+    d = key("d", '"d": 1', int)
+    drift_cfg = key("drift", '"drift": {"name": "zero"}', dict)
     drift_cfg.setdefault("d", d)
     return ProcessSpec(
         drift_from_config(drift_cfg),
-        noise_from_config(key("noise", '"noise": {"kind": "brownian", "eps": 1.0}')),
+        noise_from_config(key("noise", '"noise": {"kind": "brownian", "eps": 1.0}', dict)),
         d,
         int(cfg.get("noise_offset", 0)),
     )

@@ -9,12 +9,13 @@ left limits:
 * ``flow``    a closed-form trajectory with polynomial coordinates
               (continuous, so value and left limit coincide).
 
-Exit times are infima over ``t > 0``, evaluated exactly: within a segment the
-coordinates are polynomials in time, so every crossing of a domain face is a
-polynomial root.  Candidate points generated by a face root are tested with
-that coordinate placed exactly on the face, which makes single-instant
-touches of a boundary (the mechanism that separates leaving an open set from
-leaving its closure) detectable in floating point.
+Exit times are infima over ``t > 0``, evaluated exactly.  A step or linear
+skeleton is resolved over all its knots at once, from the exact membership
+of its knots and segment ends and the engine's closed-form face crossing
+(``geometry.segment_crossing``).  A flow's face crossings are polynomial
+roots; each is tested with that coordinate placed exactly on the face, which
+makes single-instant touches of a boundary (the mechanism that separates
+leaving an open set from leaving its closure) detectable in floating point.
 
 Beyond its last knot a skeleton is absorbed at its final point, so "never
 exits" is exact under that convention and is reported as ``math.inf``.
@@ -31,7 +32,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import HorizonExceeded
-from .geometry import Domain
+from .geometry import Domain, segment_crossing
 
 _TIME_TOL = 1e-12
 
@@ -250,11 +251,11 @@ def left_limit(path: CadlagPath, t) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Exact segment-wise exit scan.
+# Exact exit operators.
 
 
-def _real_roots(coefs, lo, hi):
-    """Real roots of a polynomial inside [lo, hi]; hi=None means unbounded."""
+def _real_roots(coefs):
+    """Real roots of a polynomial, coefficients low order first."""
     c = np.atleast_1d(np.asarray(coefs, dtype=float))
     scale = np.max(np.abs(c))
     if scale == 0.0:
@@ -267,8 +268,8 @@ def _real_roots(coefs, lo, hi):
     if deg == 0:
         return []
     if deg == 1:
-        roots = [-c[0] / c[1]]
-    elif deg == 2:
+        return [-c[0] / c[1]]
+    if deg == 2:
         c0, b, a = c
         disc = b * b - 4 * a * c0
         if disc < 0:
@@ -282,43 +283,9 @@ def _real_roots(coefs, lo, hi):
             roots.append(c0 / q)
         elif a != 0:  # b == 0 and disc == 0
             roots = [0.0] if c0 == 0 else roots
-    else:
-        rts = npoly.polyroots(c)
-        roots = [float(r.real) for r in rts if abs(r.imag) <= 1e-9 * (1 + abs(r))]
-    out = []
-    for r in roots:
-        if r < lo - _TIME_TOL:
-            continue
-        if hi is not None and r > hi + _TIME_TOL:
-            continue
-        out.append(min(max(r, lo), hi) if hi is not None else max(r, lo))
-    return out
-
-
-def _segments(path, left_mode):
-    """Yield (t_lo, t_hi_or_None, coord_polys, incl_lo, incl_hi) in time order.
-
-    Right-continuous scans use [t_k, t_{k+1}) segments; left-limit scans use
-    (t_k, t_{k+1}].  The final segment is the absorbing constant tail (or the
-    whole half line for flows).
-    """
-    if path.kind == "flow":
-        yield 0.0, None, path.flow.coord_polys(), not left_mode, False
-        return
-    times = path.times
-    n = len(times)
-    for k in range(n - 1):
-        t0, t1 = float(times[k]), float(times[k + 1])
-        if path.kind == "step":
-            polys = [np.array([v]) for v in path.points[k]]
-        else:
-            end = _segment_end_value(path, k)
-            slope = (end - path.points[k]) / (t1 - t0)
-            polys = [np.array([path.points[k][i] - slope[i] * t0, slope[i]]) for i in range(path.d)]
-        yield t0, t1, polys, not left_mode, left_mode
-    t0 = float(times[-1])
-    polys = [np.array([v]) for v in path.points[-1]]
-    yield t0, None, polys, not left_mode, False
+        return roots
+    rts = npoly.polyroots(c)
+    return [float(r.real) for r in rts if abs(r.imag) <= 1e-9 * (1 + abs(r))]
 
 
 def _outside(domain, point, mode, faces=()):
@@ -330,30 +297,23 @@ def _outside(domain, point, mode, faces=()):
     return not domain.contains(p, mode)
 
 
-def _scan_segment(domain, mode, t0, t1, polys, incl_lo, incl_hi):
-    """Earliest time in this segment at which the path is outside, or None."""
-    faces = domain.faces()
-    if faces is None:
-        faces = []
+def _flow_exit(flow, domain, mode):
+    """Earliest t > 0 at which the flow is outside, from its face roots; inf if never."""
+    polys = flow.coord_polys()
     root_faces = {}
-    for f in faces:
-        for r in _real_roots(f.crossing_poly(polys), t0, t1):
+    for f in domain.faces() or []:
+        for r in _real_roots(f.crossing_poly(polys)):
+            if r < -_TIME_TOL:
+                continue
+            r = max(r, 0.0)
             for known in root_faces:
                 if abs(r - known) <= _TIME_TOL * (1.0 + abs(known)):
                     root_faces[known].append(f)
                     break
             else:
                 root_faces[r] = [f]
-    breaks = sorted(root_faces)
-    if not breaks or abs(breaks[0] - t0) > _TIME_TOL * (1 + abs(t0)):
-        breaks.insert(0, t0)
-    else:
-        breaks[0] = t0
-    if t1 is not None and (not breaks or abs(breaks[-1] - t1) > _TIME_TOL * (1 + abs(t1))):
-        breaks.append(t1)
-
-    def value_at(t):
-        return np.array([npoly.polyval(t, c) for c in polys])
+    # membership is constant between crossings and beyond the last one
+    breaks = [0.0] + [r for r in sorted(root_faces) if r > _TIME_TOL] + [math.inf]
 
     def face_list(t):
         for r, fs in root_faces.items():
@@ -361,24 +321,48 @@ def _scan_segment(domain, mode, t0, t1, polys, incl_lo, incl_hi):
                 return fs
         return ()
 
-    for i, b in enumerate(breaks):
-        is_lo = i == 0
-        is_hi = t1 is not None and i == len(breaks) - 1
-        candidate = b > 0 and not (is_lo and not incl_lo) and not (is_hi and not incl_hi)
-        if candidate and _outside(domain, value_at(b), mode, face_list(b)):
+    for b, nxt in zip(breaks, breaks[1:]):
+        if b > 0 and _outside(domain, flow.eval(b), mode, face_list(b)):
             return b
-        nxt = breaks[i + 1] if i + 1 < len(breaks) else (None if t1 is None else t1)
-        if nxt is None:
-            mid = b + 1.0  # membership is constant beyond the last crossing
-        elif nxt - b <= _TIME_TOL:
-            continue
-        else:
-            mid = 0.5 * (b + nxt)
-        if _outside(domain, value_at(mid), mode):
-            return max(b, 0.0)
-        if nxt is None:
-            return None
-    return None
+        mid = b + 1.0 if nxt == math.inf else 0.5 * (b + nxt)
+        if nxt - b > _TIME_TOL and _outside(domain, flow.eval(mid), mode):
+            return b
+    return math.inf
+
+
+def _skeleton_exit(path, domain, mode, left):
+    """Earliest exit of a step or linear skeleton, over all its knots at once; inf if never.
+
+    Segment k runs from knot k to its end value: the next knot, or the
+    pre-jump value at a jump knot (knot k itself on a step path and on the
+    last knot's constant tail).  A knot outside the closure exits at its own
+    time, and so does one outside the ``mode`` set whose segment is constant
+    or, on the right-continuous path, whose time is past 0.  A segment with
+    both ends in the set stays in it (faced domains are convex); any other
+    exits where ``segment_crossing`` places it, except that the
+    right-continuous path never takes an end value, so there a crossing past
+    the start toward an end in the closure is no exit.  A faceless domain's
+    segments exit at their end (s = 1), so it is resolved at the knots.
+    """
+    times, a = path.times, path.points
+    b = a
+    if path.kind == "linear":
+        b = np.vstack([a[1:], a[-1:]])
+        if path.jumps:
+            b[np.array(list(path.jumps)) - 1] = list(path.jumps.values())
+    a_closed = domain.contains(a, "closure")
+    a_in = a_closed if mode == "closure" else domain.contains(a, mode)
+    b_in = a_in if b is a else domain.contains(b, mode)
+    out = ~a_closed | ~a_in & (np.all(a == b, axis=1) | (not left) & (times > 0))
+    tau = np.where(out, times, math.inf)
+    k = np.flatnonzero(~out & ~(a_in & b_in))
+    if k.size:
+        s, _ = segment_crossing(domain, a[k], b[k], mode)
+        if not left:
+            s[(s > 0) & domain.contains(b[k], "closure")] = math.inf
+        t0, t1 = times[k], times[k + 1]  # constant segments, the tail too, never get here
+        tau[k] = np.where(s == 1.0, t1, t0 + s * (t1 - t0))
+    return tau.min()
 
 
 _MODE_MEMBERSHIP = {"open-hit": "open", "closure-hit": "closure", "entrance": "open"}
@@ -393,28 +377,25 @@ def exit_time(path: CadlagPath, domain: Domain, mode="closure-hit", strict=False
     its skeleton (exact under the absorbing-tail convention); with
     ``strict=True`` that case raises :class:`HorizonExceeded` instead.
     """
-    membership = _MODE_MEMBERSHIP[mode]
-    if mode == "entrance" and not domain.contains(evaluate(path, 0.0), "open"):
-        return 0.0
-    for t0, t1, polys, incl_lo, incl_hi in _segments(path, left_mode=False):
-        hit = _scan_segment(domain, membership, t0, t1, polys, incl_lo, incl_hi)
-        if hit is not None:
-            return float(hit)
-    if strict:
-        raise HorizonExceeded(path.horizon)
-    return math.inf
+    return _exit_time(path, domain, mode, strict, left=False)
 
 
 def exit_time_left(path: CadlagPath, domain: Domain, mode="open-hit", strict=False) -> float:
     """Exit time of the left-limit version of the path, inf{t>0 : w-(t) not in B}."""
+    return _exit_time(path, domain, mode, strict, left=True)
+
+
+def _exit_time(path, domain, mode, strict, left):
     membership = _MODE_MEMBERSHIP[mode]
-    for t0, t1, polys, incl_lo, incl_hi in _segments(path, left_mode=True):
-        hit = _scan_segment(domain, membership, t0, t1, polys, incl_lo, incl_hi)
-        if hit is not None:
-            return float(hit)
-    if strict:
+    if mode == "entrance" and not domain.contains(path.points[0], "open"):
+        return 0.0
+    if path.kind == "flow":  # continuous: value and left limit coincide
+        tau = _flow_exit(path.flow, domain, membership)
+    else:
+        tau = _skeleton_exit(path, domain, membership, left)
+    if strict and tau == math.inf:
         raise HorizonExceeded(path.horizon)
-    return math.inf
+    return float(tau)
 
 
 def exit_point(path: CadlagPath, domain: Domain, mode="closure-hit") -> np.ndarray:

@@ -93,6 +93,31 @@ def test_regularity_scan_bad_domain_or_spec_is_config_error(tmp_path, capsys, sp
     assert not (tmp_path / "r.csv").exists()
 
 
+BALL = {"shape": "ball", "center": [0.0], "radius": 1.0}
+
+
+@pytest.mark.parametrize("spec,domain,key", [
+    ({"drift": "x", "noise": {"kind": "brownian", "eps": 1.0}, "d": 1}, BALL, "drift"),
+    ({"drift": {"name": "constant", "velocity": "x"}, "noise": {"kind": "none"}, "d": 1}, BALL,
+     "velocity"),
+    ({"drift": {"name": "zero"}, "noise": {"kind": "brownian", "eps": "x"}, "d": 1}, BALL, "eps"),
+    ({"drift": {"name": "zero"}, "noise": {"kind": "brownian", "eps": 1.0}, "d": "x"}, BALL, "d"),
+    ({"drift": {"name": "zero"}, "noise": {"kind": "brownian", "eps": 1.0}, "d": 1},
+     {"shape": "interval", "a": "x", "b": 1}, "a"),
+    ({"drift": {"name": "zero"}, "noise": {"kind": "brownian", "eps": 1.0}, "d": 1},
+     {"shape": "ball", "center": "x", "radius": 1.0}, "center"),
+], ids=["drift", "velocity", "eps", "d", "a", "center"])
+def test_nested_value_of_the_wrong_kind_is_config_error(tmp_path, capsys, spec, domain, key):
+    cfg = {"experiment": "regularity-scan", "params": {"spec": spec, "domain": domain},
+           "mc": {"n": 10, "h": 1e-3, "seed": 3}, "output": {"path": "r.csv"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"config key {key!r}='x'" in err and "e.g." in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_attainment_witness_json(tmp_path):
     cfg = {"experiment": "attainment-witness",
            "params": {"spec": {"drift": {"name": "constant", "velocity": [1.0]},

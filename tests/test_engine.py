@@ -352,6 +352,32 @@ def test_dyadic_start_on_face_or_outside_exits_at_once(domain, x0):
     assert not (res.truncated.any() or res.via_jump.any())
 
 
+OUTSIDE_SPECS = {
+    "dyadic": ProcessSpec(ConstantDrift([1.0]), BrownianNoise(1.0), 1),
+    "blocked-bridged": ProcessSpec(AffineDrift([[-3.0]], [2.0]), BrownianNoise(1.0), 1),
+    "stable": ProcessSpec(ZeroDrift(1), StableNoise(1.5, 1.0), 1),
+    "deterministic": ProcessSpec(ConstantDrift([1.0]), NoNoise(), 1),
+}
+
+
+@pytest.mark.parametrize("route", list(OUTSIDE_SPECS))
+@pytest.mark.parametrize("stop", STOP_RULES)
+def test_start_outside_the_closure_exits_at_once_on_every_route(route, stop, monkeypatch):
+    spec = OUTSIDE_SPECS[route]
+    drawn = []
+    monkeypatch.setattr(engine, "_run_chunk", lambda *a, **k: drawn.append(a))
+    runs = [run_batch(spec, Interval(0, 1), [1.5], 1e-3, 5.0, 20, 3, lam=1.0,
+                      cost_fn=SpatialCost(Constant(2.0)), stop=stop),
+            run_single(spec, Interval(0, 1), [1.5], 1e-3, 5.0, RngStream(3, 0), stop=stop)]
+    assert not drawn
+    for res, n in zip(runs, (20, 1)):
+        for f in ("zeta", "zeta_hat", "steps", "cost"):
+            np.testing.assert_array_equal(getattr(res, f), np.zeros(n), err_msg=f)
+        np.testing.assert_array_equal(res.point, np.full((n, 1), 1.5))
+        np.testing.assert_array_equal(res.point_hat, np.full((n, 1), 1.5))
+        assert res.n == n and not (res.truncated.any() or res.via_jump.any())
+
+
 @pytest.mark.parametrize("d0,d1,H,eps", [
     (0.03, 0.01, 1e-3, 1.0), (0.01, 0.05, 1e-2, 0.7), (0.2, 1e-3, 0.5, 1.0), (1e-3, 2.0, 1e-2, 1.0),
 ])

@@ -1,14 +1,17 @@
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference_scan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fkexit.errors import HorizonExceeded
-from fkexit.geometry import Interval, parabolic_rect
+from fkexit.geometry import (Ball, Box, Cylinder, Domain, Interval, SphereFace, parabolic_rect,
+                             segment_crossing)
 from fkexit.paths import (ConstantVelocityFlow, ParabolicFlow, evaluate,
                           exit_point, exit_time, exit_time_left, flow_path, left_limit,
                           linear_path, path_from_json, path_to_json, shift, step_path)
@@ -263,3 +266,180 @@ def test_predicate_domain_knot_level_exit():
                           box_lo=np.array([0.0]), box_hi=np.array([1.0]))
     p = linear_path([0.0, 2.0], [[0.0], [2.0]])
     assert exit_time(p, dom, "closure-hit") == 2.0  # crossing at t=1 not seen
+
+
+# -- the knot-level operator against the per-segment root scan --------------
+
+REF_DOMAINS = [Interval(0, 1), Box([-1.0, 0.0], [1.0, 1.0]), Ball([0.0], 1.0),
+               Ball([0.0, 0.0], 1.0), Ball([0.0, 0.0, 0.0], 1.0),
+               Cylinder(1.0, Interval(-1.0, 1.0)), Cylinder(1.0, Ball([0.0, 0.0], 1.0))]
+OPERATORS = [(exit_time, "open-hit"), (exit_time, "closure-hit"), (exit_time, "entrance"),
+             (exit_time_left, "open-hit"), (exit_time_left, "closure-hit")]
+LATTICE = st.integers(-6, 6).map(lambda k: k / 4)
+SHIFT = st.sampled_from([0.0, 0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3])
+
+
+def face_gaps(domain, x):
+    """Exact gap of x to each face: 0 on it (on a sphere, half the gap of squared radii)."""
+    out = []
+    for f in domain.faces():
+        if isinstance(f, SphereFace):
+            r2 = sum((Fraction(x[a]) - Fraction(c)) ** 2 for a, c in zip(f.axes, f.center))
+            out.append(abs(r2 - Fraction(f.radius) ** 2) / 2)
+        else:
+            out.append(abs(Fraction(x[f.axis]) - Fraction(f.value)))
+    return out
+
+
+@st.composite
+def lattice_skeletons(draw, domain):
+    """Step or linear skeletons whose knots and pre-jump values lie on a 1/4
+    lattice, shifted as a whole where that keeps each of them either exactly
+    on a face or at least 1e-9 away from it."""
+    n = draw(st.integers(1, 6))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+
+    def point():
+        x = np.array([draw(LATTICE) for _ in range(domain.d)])
+        f = draw(st.sampled_from([None, *domain.faces()]))
+        if isinstance(f, SphereFace):  # onto the sphere along one of its axes
+            x[list(f.axes)] = f.center
+            x[draw(st.sampled_from(f.axes))] += draw(st.sampled_from([-1, 1])) * f.radius
+        elif f is not None:
+            x[f.axis] = f.value
+        return x
+
+    pts = np.array([point() for _ in range(n)])
+    step = draw(st.booleans())
+    jumps = {} if step else {k: point() for k in range(1, n) if draw(st.booleans())}
+    shift = np.array([draw(SHIFT) for _ in range(domain.d)])
+    if all(g == 0 or g >= 1e-9 for x in [*pts, *jumps.values()]
+           for g in face_gaps(domain, x + shift)):
+        pts += shift
+        jumps = {k: v + shift for k, v in jumps.items()}
+    return step_path(times, pts) if step else linear_path(times, pts, jumps)
+
+
+def touches_a_sphere(path, domain):
+    """Whether a segment's line is tangent to a sphere face at a point of the segment."""
+    a = path.points
+    b = a if path.kind == "step" else np.vstack([a[1:], a[-1:]])
+    for k, pre in path.jumps.items():
+        b[k - 1] = pre
+    for f in domain.faces():
+        if not isinstance(f, SphereFace):
+            continue
+        for p, q in zip(a, b):
+            ca = [Fraction(p[i]) - Fraction(c) for i, c in zip(f.axes, f.center)]
+            rel = [Fraction(q[i]) - Fraction(p[i]) for i in f.axes]
+            aa, half_b = sum(r * r for r in rel), sum(x * r for x, r in zip(ca, rel))
+            cc = sum(x * x for x in ca) - Fraction(f.radius) ** 2
+            if aa and half_b * half_b == aa * cc and 0 <= -half_b <= aa:
+                return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(REF_DOMAINS).flatmap(
+    lambda dom: st.tuples(st.just(dom), lattice_skeletons(dom))))
+def test_knot_level_exit_matches_reference_scan(case):
+    domain, path = case
+    touch = touches_a_sphere(path, domain)
+    for op, mode in OPERATORS:
+        got = op(path, domain, mode)
+        ref = getattr(reference_scan, op.__name__)(path, domain, mode)
+        if touch:
+            # the scan finds a tangent touch late or not at all: its double
+            # root splits about 2e-8 apart or vanishes, and a midpoint probe
+            # can land on the touching point
+            assert got <= ref + 1e-12 * (1.0 + abs(got)), (op.__name__, mode, got, ref)
+            continue
+        assert math.isfinite(got) == math.isfinite(ref), (op.__name__, mode)
+        if math.isfinite(got):
+            assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref)), (op.__name__, mode, got, ref)
+
+
+def test_closure_hit_along_a_face_leaves_through_the_other_face():
+    # the second segment runs along x = 1 and leaves the square through y = 1
+    sq = Box([0.0, 0.0], [1.0, 1.0])
+    p = linear_path([0, 1, 3], [[0.5, 0.5], [1.0, 0.5], [1.0, 1.5]])
+    assert exit_time(p, sq, "closure-hit") == 2.0
+    assert exit_time(p, sq, "open-hit") == 1.0
+    assert exit_time_left(p, sq, "closure-hit") == 2.0
+    a, b = np.array([[1.0, 0.5]]), np.array([[1.0, 1.5]])
+    s, x = segment_crossing(sq, a, b, "closure")
+    assert s[0] == 0.5 and x[0].tolist() == [1.0, 1.0]
+    assert segment_crossing(sq, a, b, "open")[0][0] == 0.0
+
+
+def test_zero_length_segments_on_a_sphere():
+    disk = Ball([0.0, 0.0], 1.0)
+    p = step_path([0, 1, 2], [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    assert exit_time(p, disk, "open-hit") == exit_time_left(p, disk, "open-hit") == 1.0
+    assert exit_time(p, disk, "closure-hit") == exit_time_left(p, disk, "closure-hit") == math.inf
+    knot = step_path([0.0], [[-1.0, 0.0]])
+    assert exit_time(knot, disk, "open-hit") == exit_time_left(knot, disk, "open-hit") == 0.0
+    assert exit_time(knot, disk, "closure-hit") == math.inf
+    # the clock moves while the point sits on the lateral sphere of the cylinder
+    lateral = linear_path([0, 1], [[0.5, 0.0, 1.0], [1.5, 0.0, 1.0]])
+    cyl = Cylinder(2.0, disk)
+    assert exit_time(lateral, cyl, "open-hit") == exit_time_left(lateral, cyl, "open-hit") == 0.0
+    assert exit_time(lateral, cyl, "closure-hit") == math.inf
+    face = disk.faces()[0]
+    for mode in ("open", "closure"):
+        s, x = face.segment_crossing(np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]]), mode)
+        assert s[0] == (0.0 if mode == "open" else math.inf) and x[0].tolist() == [0.0, 1.0]
+    s, _ = face.segment_crossing(np.array([[0.0, 1.5]]), np.array([[0.0, 1.5]]))
+    assert s[0] == 0.0
+
+
+def test_tangent_segment_exits_at_its_sphere_knot():
+    # the segment from the knot at t1 is tangent to the circle there (to
+    # rounding), so the closed disk is left at t1; the root scan's double
+    # root lands about 2e-8 late
+    a = np.array([-0.15773792002084577, -0.987481011760478])
+    b = [0.42201629977233224, -1.08008960237069]
+    t1 = 0.6260932876862045
+    p = linear_path([0.0, t1, t1 + 0.8], [0.5 * a, a, b])
+    disk = Ball([0.0, 0.0], 1.0)
+    assert disk.on_boundary(a)
+    assert exit_time(p, disk, "closure-hit") == t1
+    assert 1e-9 < reference_scan.exit_time(p, disk, "closure-hit") - t1 < 1e-7
+
+
+def test_crossing_at_a_knot_is_that_knots_time():
+    # the left limit at 2.826 lies on the face; 0.599 + (2.826 - 0.599)
+    # rounds to 2.8260000000000005
+    p = linear_path([0.0, 0.599, 2.826, 3.0], [[0.5], [0.5], [0.5], [0.5]], jumps={2: [1.0]})
+    assert exit_time_left(p, O01, "open-hit") == 2.826
+    assert exit_time(p, O01, "open-hit") == math.inf
+
+
+@pytest.mark.parametrize("path", [
+    step_path([0, 1, 2], [[0.5], [0.25], [2.0]]),
+    linear_path([0, 1, 2], [[0.5], [0.25], [2.0]], jumps={1: [0.75]}),
+    flow_path(ConstantVelocityFlow([0.5], [1.0])),
+    step_path([0, 1], [[0.5], [0.25]]),
+], ids=["step", "linear", "flow", "never"])
+def test_exit_times_are_python_floats(path):
+    for op, mode in OPERATORS:
+        assert type(op(path, O01, mode)) is float
+
+
+def test_exit_time_tests_membership_a_few_times_whatever_the_knot_count(monkeypatch):
+    gen = np.random.default_rng(5)
+    times = 1e-4 * np.arange(32_001)
+    p = step_path(times, 0.5 + np.cumsum(0.01 * gen.standard_normal(32_001)).reshape(-1, 1))
+    calls = []
+    contains = Domain.contains
+
+    def counting(self, x, mode="open"):
+        calls.append(mode)
+        return contains(self, x, mode)
+
+    monkeypatch.setattr(Domain, "contains", counting)
+    for op, mode in OPERATORS:
+        calls.clear()
+        op(p, Interval(-4.0, 5.0), mode)
+        assert len(calls) <= 6, (op.__name__, mode, calls)
