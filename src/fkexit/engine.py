@@ -5,6 +5,17 @@ draws from the Philox stream (seed, c).  The chunk size is part of the seed
 contract: results are bit-identical for any worker count because workers only
 split over chunks, never inside one.
 
+A batch may start from k points at once.  Its rows are then (path, start)
+pairs, path-major: row p k + s is path p from start s, chunk c holds
+max(1, CHUNK_SIZE // k) paths and draws from the stream (seed, c), and the k
+starts of a path share its noise (common random numbers).  Each start's rows
+keep the law they have alone; only their correlation across starts is new.
+On the blocked route a block draws the noise once per live path, a path
+being live while any of its starts is; membership, exits, cost and
+bookkeeping stay per row.  On the dyadic route, whose step sizes differ per
+row, a chunk runs its starts one after the other from its generator.  One
+start, of shape (d,) or (1, d), runs exactly the single-start code.
+
 The blocked route advances a chunk in blocks of Euler steps, whose knots
 :func:`~fkexit.levy.euler_block` builds and whose lengths
 :func:`~fkexit.levy.block_steps` sets: 16 steps first, doubling per block up
@@ -58,11 +69,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidStep, check_inputs, check_start, check_workers
+from .errors import (ConfigError, InvalidStart, InvalidStep, check_inputs, check_start,
+                     check_workers)
 from .functions import Constant, SpatialCost, gauss_legendre
 from .geometry import AxisFace, Domain, segment_crossing
-from .levy import (BrownianNoise, ProcessSpec, StableNoise, _velocity, block_steps,
-                   euler_block, simulate_path)
+from .levy import (BLOCK_STEPS, FIRST_BLOCK_STEPS, BrownianNoise, ProcessSpec, StableNoise,
+                   _velocity, block_steps, euler_block, simulate_path)
 from .paths import evaluate, exit_time, left_limit
 from .rng import RngStream
 
@@ -90,8 +102,28 @@ class BatchResult:
 
     def concat(self, other):
         return BatchResult(*[np.concatenate([getattr(self, f), getattr(other, f)])
-                             for f in ("zeta", "zeta_hat", "point", "point_hat",
-                                       "via_jump", "truncated", "steps", "cost")])
+                             for f in _FIELDS])
+
+
+_FIELDS = ("zeta", "zeta_hat", "point", "point_hat", "via_jump", "truncated", "steps", "cost")
+
+
+def _merge_starts(groups, k):
+    """One path-major result over k starts from (starts, result) groups that split them.
+
+    Each group's result holds the rows of its own starts, path-major.
+    """
+    if len(groups) == 1:
+        return groups[0][1]
+    n = groups[0][1].n // len(groups[0][0])
+    merged = []
+    for f in _FIELDS:
+        first = getattr(groups[0][1], f)
+        out = np.empty((n, k) + first.shape[1:], first.dtype)
+        for starts, res in groups:
+            out[:, starts] = getattr(res, f).reshape((n, len(starts)) + first.shape[1:])
+        merged.append(out.reshape((n * k,) + first.shape[1:]))
+    return BatchResult(*merged)
 
 
 # 1/(k+2)! for k = 0..16: the series of (e^x - 1 - x)/x^2, cut below 1e-17 for |x| < 1
@@ -147,15 +179,18 @@ def _bridge_faces(spec, domain):
     return faces if brownian and spec.noise_offset == 0 and flat else []
 
 
-def _run_chunk(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridged):
+def _run_chunk(spec, domain, starts, h, n_steps, gen, m, lam, cost_fn, stop, bridged):
+    """The m k rows, path-major, of a chunk of m paths from (k, d) starts or one (d,) start."""
+    starts = np.atleast_2d(starts)
     c = _constant_cost(cost_fn)
     if c is not None:
         cost_fn = None
     faces = _bridge_faces(spec, domain) if bridged else []
     if cost_fn is None and _velocity(spec.drift) is not None and faces:
-        res = _run_dyadic(spec, faces, x0, h, n_steps, gen, m)
+        res = _merge_starts([([s], _run_dyadic(spec, faces, x0, h, n_steps, gen, m))
+                             for s, x0 in enumerate(starts)], len(starts))
     else:
-        res = _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, faces)
+        res = _run_blocks(spec, domain, starts, h, n_steps, gen, m, lam, cost_fn, stop, faces)
     if c is not None:
         # integral of c exp(-lam s) over [0, t_stop], t_stop the exit or the horizon
         t_stop = np.where(res.truncated, res.steps * h, res.zeta)
@@ -236,9 +271,11 @@ def _bridge_scan(X, faces, half_var, gen, exit_step, bridge_face):
         bridge_face[rows[better]] = f
 
 
-def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge_faces):
+def _run_blocks(spec, domain, starts, h, n_steps, gen, paths, lam, cost_fn, stop, bridge_faces):
     d = spec.d
-    pos = np.tile(np.asarray(x0, float), (m, 1))
+    k_starts = len(starts)
+    m = paths * k_starts
+    pos = np.tile(starts, (paths, 1))
     idx = np.arange(m)
     zeta = np.full(m, np.inf)
     zhat = np.full(m, np.inf)
@@ -260,12 +297,17 @@ def _run_blocks(spec, domain, x0, h, n_steps, gen, m, lam, cost_fn, stop, bridge
     scan_open = stop == "open" or stable or spec.noise_offset > 0
     if cost_fn is not None:
         w0, w1 = _trap_weights(h, lam)
+    floor = BLOCK_STEPS if k_starts == 1 else FIRST_BLOCK_STEPS
 
     k0 = k = 0
     while idx.size and k0 < n_steps:
         na = idx.size
-        nb = block_steps(k, na, n_steps - k0)
-        X, jmask = euler_block(spec, pos, h, gen, nb)
+        nb = block_steps(k, na, n_steps - k0, floor)
+        if k_starts == 1:
+            X, jmask = euler_block(spec, pos, h, gen, nb)
+        else:  # one draw per live path, gathered to its live rows
+            path_of = np.unique(idx // k_starts, return_inverse=True)[1]
+            X, jmask = euler_block(spec, pos, h, gen, nb, path_of)
 
         if scan_open:
             first_open = _first_outside(domain.contains(X[:, 1:], "open"))
@@ -551,39 +593,59 @@ def check_run(horizon, stop="closure"):
         raise ConfigError(f"unknown stopping rule stop={stop!r}; use one of {STOP_RULES}")
 
 
+def _check_starts(spec, domain, x0):
+    """The starts as a (k, d) array: x0 of shape (d,) is one start, of shape (k, d) k starts."""
+    starts = [check_start(spec, domain, x) for x in (x0 if np.ndim(x0) == 2 else [x0])]
+    if not starts:
+        raise InvalidStart("x0 holds no start; pass a point of shape (d,) or k starts as (k, d)")
+    return np.array(starts)
+
+
 def _run(spec, domain, x0, h, horizon, chunks, lam, cost_fn, stop, bridged, workers):
-    """Exits of the chunks, each a (stream, rows) pair, concatenated in chunk order.
+    """Exits of the chunks, each a (stream, paths) pair, concatenated in chunk order.
 
     ``bridged`` lets each chunk run the bridge test, and with it the dyadic
-    route, wherever :func:`_bridge_faces` finds that test exact.  A start
-    outside the closure exits at once on every route, at time 0 and at x0.
+    route, wherever :func:`_bridge_faces` finds that test exact.  Each start
+    is taken on its own first: one outside the closure exits at once on
+    every route, at time 0 and at its own point, and a deterministic spec
+    runs one exact trajectory per start.  The other starts share the chunks.
     """
     n = sum(m for _, m in chunks)
     check_inputs(h, n)
     check_workers(workers)
     check_run(horizon, stop)
-    x0 = check_start(spec, domain, x0)
-    if not domain.contains(x0, "closure"):  # no draws
-        zero, point = np.zeros(n), np.tile(x0, (n, 1))
-        return BatchResult(zero, zero.copy(), point, point.copy(), np.zeros(n, bool),
-                           np.zeros(n, bool), np.zeros(n, dtype=int), zero.copy())
-    if spec.is_deterministic:
-        return _deterministic_result(spec, domain, x0, h, horizon, lam, cost_fn, stop, n)
-    if not horizon / h < 2.0 ** 62:  # step counts are int64
-        raise InvalidStep(f"horizon={horizon:g} is {horizon / h:.3g} steps of h={h:g}; shorten it")
-    n_steps = int(math.ceil(horizon / h - 1e-12))
-    tasks = [(spec, domain, x0, h, n_steps, stream, m, lam, cost_fn, stop, bridged)
-             for stream, m in chunks]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_chunk_task, *zip(*tasks)))
-    else:
-        parts = [_chunk_task(*t) for t in tasks]
-    return functools.reduce(BatchResult.concat, parts)
+    starts = _check_starts(spec, domain, x0)
+    inside = np.asarray(domain.contains(starts, "closure"))
+    groups = []
+    if not inside.all():  # no draws
+        out = np.flatnonzero(~inside)
+        rows = n * out.size
+        zero, point = np.zeros(rows), np.tile(starts[out], (n, 1))
+        groups.append((out, BatchResult(zero, zero.copy(), point, point.copy(),
+                                        np.zeros(rows, bool), np.zeros(rows, bool),
+                                        np.zeros(rows, dtype=int), zero.copy())))
+    live = np.flatnonzero(inside)
+    if live.size and spec.is_deterministic:
+        groups += [([s], _deterministic_result(spec, domain, starts[s], h, horizon, lam, cost_fn,
+                                               stop, n)) for s in live]
+    elif live.size:
+        if not horizon / h < 2.0 ** 62:  # step counts are int64
+            raise InvalidStep(f"horizon={horizon:g} is {horizon / h:.3g} steps of h={h:g}; "
+                              "shorten it")
+        n_steps = int(math.ceil(horizon / h - 1e-12))
+        tasks = [(spec, domain, starts[live], h, n_steps, stream, m, lam, cost_fn, stop, bridged)
+                 for stream, m in chunks]
+        if workers > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=workers) as ex:
+                parts = list(ex.map(_chunk_task, *zip(*tasks)))
+        else:
+            parts = [_chunk_task(*t) for t in tasks]
+        groups.append((live, functools.reduce(BatchResult.concat, parts)))
+    return _merge_starts(groups, len(starts))
 
 
-def _chunk_task(spec, domain, x0, h, n_steps, stream, *rest):
-    return _run_chunk(spec, domain, x0, h, n_steps, stream.generator(), *rest)
+def _chunk_task(spec, domain, starts, h, n_steps, stream, *rest):
+    return _run_chunk(spec, domain, starts, h, n_steps, stream.generator(), *rest)
 
 
 def run_single(spec, domain, x0, h, horizon, stream: RngStream,
@@ -599,13 +661,18 @@ def run_single(spec, domain, x0, h, horizon, stream: RngStream,
 
 def run_batch(spec: ProcessSpec, domain: Domain, x0, h, horizon, n, seed,
               lam=0.0, cost_fn=None, stop="closure", workers=1) -> BatchResult:
-    """n first-exit trajectories with the fixed chunk/stream contract.
+    """n first-exit trajectories from x0 with the fixed chunk/stream contract.
 
-    Chunk c holds rows c CHUNK_SIZE onwards and draws from the stream (seed, c).
-    Every chunk runs the bridge test wherever it is exact.
+    x0 is one start, of shape (d,), or k starts as a (k, d) array; the result
+    then holds n k rows, path-major, and row p k + s is path p from start s.
+    Chunk c holds paths c P onwards, P = max(1, CHUNK_SIZE // k), and draws
+    from the stream (seed, c); the starts of a path share its noise.  Every
+    chunk runs the bridge test wherever it is exact.
     """
-    # n < 1 makes one chunk of n rows, for the entry's check to reject
-    chunks = [(RngStream(seed, c), min(CHUNK_SIZE, n - start))
-              for c, start in enumerate(range(0, n, CHUNK_SIZE) or [0])]
+    k = len(x0) if np.ndim(x0) == 2 else 1
+    per_chunk = max(1, CHUNK_SIZE // max(k, 1))  # k = 0 is left for the entry's check
+    # n < 1 makes one chunk of n paths, for the entry's check to reject
+    chunks = [(RngStream(seed, c), min(per_chunk, n - start))
+              for c, start in enumerate(range(0, n, per_chunk) or [0])]
     return _run(spec, domain, x0, h, horizon, chunks, lam, cost_fn, stop,
                 bridged=True, workers=workers)

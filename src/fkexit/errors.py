@@ -88,6 +88,34 @@ def require_key(cfg, key, hint, convert=None):
                           f"{hint}") from None
 
 
+def _is_real(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+
+
+def as_int(v):
+    """v as an int, for a number with an integral value; TypeError for a bool or a fraction."""
+    if not (_is_real(v) and float(v).is_integer()):
+        raise TypeError(f"{v!r} is not an integer")
+    return int(v)
+
+
+def as_float(v):
+    """v as a float; TypeError for a bool or a value that is not a number."""
+    if not _is_real(v):
+        raise TypeError(f"{v!r} is not a number")
+    return float(v)
+
+
+def as_floats(v):
+    """v, a number or a nested list of them, as a float array; TypeError if any is a bool."""
+    if isinstance(v, (list, tuple, np.ndarray)):
+        for x in v:
+            as_floats(x)
+    elif not _is_real(v):
+        raise TypeError(f"{v!r} is not a number or a list of numbers")
+    return np.asarray(v, float)
+
+
 def check_inputs(h, n=1):
     """Reject a step h that is not finite and positive, or a sample size n below 1."""
     if not (math.isfinite(h) and h > 0):

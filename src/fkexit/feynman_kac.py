@@ -184,7 +184,23 @@ def estimate_v_nonstationary(problem: DirichletProblem, spec: ProcessSpec, t, x,
 
     ``truncated_fraction`` reports paths stopped by the terminal lid rather
     than a spatial exit; their contribution is exact (the integral is capped
-    at the lid), so it is informational, not an error bound.
+    at the lid), so it is informational, not an error bound.  This is the
+    one-point case of :func:`estimate_v_nonstationary_grid`.
+    """
+    return estimate_v_nonstationary_grid(problem, spec, [(t, x)], h, n, rng, route, workers)[0]
+
+
+def estimate_v_nonstationary_grid(problem: DirichletProblem, spec: ProcessSpec, points, h, n,
+                                  rng, route="direct", workers=1) -> list:
+    """:func:`estimate_v_nonstationary` at every (t, x) of ``points``, from one batch.
+
+    The starts share the noise of each of the n paths (common random
+    numbers), so each estimate keeps the mean and the standard error it has
+    alone, while the estimates are correlated across points.  On the direct
+    route every t reads min(tau, T - t) of the same paths, so at each x the
+    estimates never increase in t.  A start with t >= T or outside the
+    closed cylinder has the exact value 0 and never reaches the engine.
+    Returns one :class:`MCEstimate` per point, in order.
     """
     if not isinstance(problem.domain, Cylinder):
         raise InvalidStart("non-stationary estimation needs a cylinder domain")
@@ -194,20 +210,30 @@ def estimate_v_nonstationary(problem: DirichletProblem, spec: ProcessSpec, t, x,
     seed = effective_seed(rng)
     cyl = problem.domain
     T = cyl.T
-    t = float(t)
-    if not math.isfinite(t):
-        raise InvalidStart(f"start time t={t} must be finite")
-    y0 = np.concatenate([[t], check_start(spec, cyl.base, x)])
-    if t >= T or not cyl.contains(y0, "closure"):
-        return _exact_estimate(0.0, n, seed)
+    starts = []
+    for t, x in points:
+        t = float(t)
+        if not math.isfinite(t):
+            raise InvalidStart(f"start time t={t} must be finite")
+        starts.append(np.concatenate([[t], check_start(spec, cyl.base, x)]))
+    ests = [_exact_estimate(0.0, n, seed)] * len(starts)
+    live = [i for i, y0 in enumerate(starts) if y0[0] < T and cyl.contains(y0, "closure")]
+    if not live:
+        return ests
+    y0 = np.array([starts[i] for i in live])
+    k = len(live)
     lam = 0.0 if route == "direct" else problem.discount
     cost_fn = (SpatialCost(problem.running_cost) if route == "direct"
                else TimeScaledCost(problem.running_cost, lam))
-    res = run_batch(lift_time(spec), cyl, y0, h, (T - t) + 2 * h, n, seed,
+    res = run_batch(lift_time(spec), cyl, y0, h, (T - float(y0[:, 0].min())) + 2 * h, n, seed,
                     lam=lam, cost_fn=cost_fn, workers=workers)
-    F = math.exp(-lam * t) * res.cost  # e^0 = 1: the direct route's F is its cost
+    # e^0 = 1: the direct route's F is its cost
+    F = res.cost.reshape(n, k) * np.array([math.exp(-lam * t) for t in y0[:, 0]])
     capped = res.truncated | (np.nan_to_num(res.point[:, 0], nan=-1.0) >= T - 1e-9)
-    return _summarize(F, n, seed, capped)
+    capped = capped.reshape(n, k)
+    for j, i in enumerate(live):
+        ests[i] = _summarize(np.ascontiguousarray(F[:, j]), n, seed, capped[:, j])
+    return ests
 
 
 @dataclass(frozen=True)

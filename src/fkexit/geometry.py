@@ -13,12 +13,11 @@ its closure is the whole point of the exit operators built on top.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, NoConeData, require_key
+from .errors import ConfigError, DimensionMismatch, NoConeData, as_float, as_floats, require_key
 
 _BOUNDARY_TOL = 1e-12
 
@@ -514,16 +513,17 @@ def domain_from_config(cfg: dict) -> Domain:
     """Domain of shape ``cfg["shape"]``; ConfigError for an unknown shape or a missing key."""
     shape = cfg.get("shape")
 
-    def key(k, example, convert=float):
+    def key(k, example, convert=as_float):
         return require_key(cfg, k, f"domain shape {shape!r} needs it, e.g. {example}", convert)
 
-    floats = functools.partial(np.asarray, dtype=float)
     if shape == "box":
-        return Box(key("lo", '"lo": [0.0, 0.0]', floats), key("hi", '"hi": [1.0, 1.0]', floats))
+        return Box(key("lo", '"lo": [0.0, 0.0]', as_floats),
+                   key("hi", '"hi": [1.0, 1.0]', as_floats))
     if shape == "interval":
         return Interval(key("a", '"a": 0'), key("b", '"b": 1'))
     if shape == "ball":
-        return Ball(key("center", '"center": [0.0, 0.0]', floats), key("radius", '"radius": 1.0'))
+        return Ball(key("center", '"center": [0.0, 0.0]', as_floats),
+                    key("radius", '"radius": 1.0'))
     if shape == "cylinder":
         base = key("base", '"base": {"shape": "interval", "a": -1, "b": 1}', dict)
         return Cylinder(key("T", '"T": 1.0'), domain_from_config(base))

@@ -14,7 +14,8 @@ by Gaussian subordination: X = sqrt(2 T) Z with Z standard normal and T a
 positive (alpha/2)-stable variate with Laplace transform exp(-s^(alpha/2)),
 drawn by Kanter's method.  Euler blocks follow the same split: a spec with
 one noisy axis draws its increments by Chambers-Mallows-Stuck, one draw per
-step, and a spec with more draws them by subordination.
+step, and a spec with more draws them by subordination.  A block whose rows
+share their noise draws it once per path and gathers it to the rows.
 
 Both transforms take sines and cosines of the drawn angle.  numpy's float64
 ``sin`` and ``cos`` are scalar loops (about 12 ns an element) while ``tan``
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidStep, check_inputs, check_start, require_key
+from .errors import (ConfigError, InvalidStep, as_float, as_floats, as_int, check_inputs,
+                     check_start, require_key)
 from .paths import CadlagPath, ConstantVelocityFlow, Flow, ParabolicFlow, flow_path, linear_path
 from .rng import RngStream, as_stream
 
@@ -43,7 +45,9 @@ JUMP_MARK_FACTOR = 6.0
 # advance a path in blocks of FIRST_BLOCK_STEPS Euler steps, doubling per
 # block up to max(BLOCK_STEPS, BLOCK_ELEMENTS // live rows).  Short first
 # blocks spare small batches, most of whose paths exit within a few steps;
-# the cap keeps a block within max(BLOCK_STEPS * rows, BLOCK_ELEMENTS) knots.
+# the cap keeps a block within max(BLOCK_STEPS * rows, BLOCK_ELEMENTS) knots,
+# and a block of rows that share their noise within
+# max(FIRST_BLOCK_STEPS * rows, BLOCK_ELEMENTS).
 # Part of the reproducibility contract.
 FIRST_BLOCK_STEPS = 16
 BLOCK_STEPS = 128
@@ -155,13 +159,13 @@ def drift_from_config(cfg: dict) -> DriftField:
     """Drift named by ``cfg["name"]``; ConfigError for an unknown name or a missing key."""
     name = cfg.get("name")
 
-    def key(k, example, convert=lambda v: np.asarray(v, float)):
+    def key(k, example, convert=as_floats):
         return require_key(cfg, k, f"drift {name!r} needs it, e.g. {example}", convert)
 
     if name == "constant":
         return ConstantDrift(key("velocity", '"velocity": [1.0]'))
     if name == "zero":
-        return ZeroDrift(key("d", '"d": 1', int))
+        return ZeroDrift(key("d", '"d": 1', as_int))
     if name == "affine":
         return AffineDrift(key("A", '"A": [[-1.0]]'), key("c", '"c": [0.0]'))
     if name == "parabolic":
@@ -215,7 +219,7 @@ def noise_from_config(cfg: dict):
     kind = cfg.get("kind")
 
     def key(k, example):
-        return require_key(cfg, k, f"noise kind {kind!r} needs it, e.g. {example}", float)
+        return require_key(cfg, k, f"noise kind {kind!r} needs it, e.g. {example}", as_float)
 
     if kind == "none":
         return NoNoise()
@@ -270,14 +274,14 @@ def spec_from_config(cfg: dict) -> ProcessSpec:
     def key(k, example, convert):
         return require_key(cfg, k, f"a process spec needs it, e.g. {example}", convert)
 
-    d = key("d", '"d": 1', int)
+    d = key("d", '"d": 1', as_int)
     drift_cfg = key("drift", '"drift": {"name": "zero"}', dict)
     drift_cfg.setdefault("d", d)
     return ProcessSpec(
         drift_from_config(drift_cfg),
         noise_from_config(key("noise", '"noise": {"kind": "brownian", "eps": 1.0}', dict)),
         d,
-        int(cfg.get("noise_offset", 0)),
+        key("noise_offset", '"noise_offset": 0', as_int) if "noise_offset" in cfg else 0,
     )
 
 
@@ -391,49 +395,76 @@ def _velocity(drift):
     return drift.velocity if isinstance(drift, ConstantDrift) else None
 
 
-def block_steps(k, na, left):
-    """Steps in block k of a chunk: min(16 * 2**k, max(128, 32768 // na), left).
+def block_steps(k, na, left, floor=BLOCK_STEPS):
+    """Steps in block k of a chunk: min(16 * 2**k, max(floor, 32768 // na), left).
 
     ``na`` is the number of rows the block advances and ``left`` the steps
     before the horizon; 16, 128 and 32768 are FIRST_BLOCK_STEPS, BLOCK_STEPS
-    and BLOCK_ELEMENTS.  The lengths depend on nothing else, so a chunk
-    draws the same stream whichever process runs it.
+    and BLOCK_ELEMENTS.  Rows that share their noise (several starts per
+    path) take ``floor=FIRST_BLOCK_STEPS``, which keeps a block of up to 2048
+    rows within BLOCK_ELEMENTS row-steps (the default floor, only up to 256).
+    The lengths depend on nothing else, so a chunk draws the same stream
+    whichever process runs it.
     """
-    cap = max(BLOCK_STEPS, BLOCK_ELEMENTS // na)
+    cap = max(floor, BLOCK_ELEMENTS // na)
     # the doubling passes the cap within cap.bit_length() blocks
     return min(FIRST_BLOCK_STEPS << min(k, cap.bit_length()), cap, left)
 
 
-def euler_block(spec: ProcessSpec, pos, h, gen, nb):
+def euler_block(spec: ProcessSpec, pos, h, gen, nb, path_of=None):
     """(na, nb + 1, d) knots of nb Euler steps from the rows of pos, and (na, nb) jump marks.
 
-    The one knot builder, for a noisy spec.  Noise is drawn first: stable
-    increments on one noisy axis by :func:`sample_symmetric_stable_1d`, on
-    more by :func:`sample_isotropic_stable`.  A state-independent drift step
-    is added to every increment and each coordinate's knots are their
-    cumulative sums (a noiseless clock coordinate shares one sum over all
-    rows); any other drift is evaluated at each knot in turn:
-    ``x + (b(x) h + dW)``.
+    The one knot builder, for a noisy spec: :func:`_draw_noise` draws the
+    increments, then :func:`_build_knots` adds them to each row's start.
+    With ``path_of`` given, rows share noise: row i takes the increments of
+    drawn path ``path_of[i]``, a non-decreasing index that starts at 0, so
+    ``path_of[-1] + 1`` paths are drawn and gathered to the rows.
+    """
+    if path_of is None:
+        dw, jump = _draw_noise(spec, len(pos), h, gen, nb)
+    else:
+        dw, jump = _draw_noise(spec, int(path_of[-1]) + 1, h, gen, nb)
+        dw, jump = dw[path_of], jump[path_of]
+    return _build_knots(spec, pos, h, dw), jump
+
+
+def _draw_noise(spec, na, h, gen, nb):
+    """(na, nb, d - noise_offset) noise increments of nb steps, and their (na, nb) jump marks.
+
+    Stable increments on one noisy axis come from
+    :func:`sample_symmetric_stable_1d`, on more from
+    :func:`sample_isotropic_stable`.
     """
     noise = spec.noise
-    na, d = pos.shape
-    off = spec.noise_offset  # the leading (clock) coordinates carry no noise
-    shape = (na, nb, d - off)
+    shape = (na, nb, spec.d - spec.noise_offset)
     if isinstance(noise, BrownianNoise):
         dw = gen.standard_normal(shape)
         dw *= noise.eps * math.sqrt(h)
-        jump = np.zeros((na, nb), dtype=bool)
+        return dw, np.zeros((na, nb), dtype=bool)
+    if shape[2] == 1:  # the exact 1-d law, one draw per step
+        dw = sample_symmetric_stable_1d(noise.alpha, gen, size=na * nb).reshape(shape)
+        jump = np.abs(dw[:, :, 0]) > JUMP_MARK_FACTOR
     else:
-        if shape[2] == 1:  # the exact 1-d law, one draw per step
-            dw = sample_symmetric_stable_1d(noise.alpha, gen, size=na * nb).reshape(shape)
-            jump = np.abs(dw[:, :, 0]) > JUMP_MARK_FACTOR
-        else:
-            dw = sample_isotropic_stable(noise.alpha, shape[2], gen, size=na * nb).reshape(shape)
-            sq = dw[:, :, 0] ** 2  # |dw|^2 summed in axis order, as np.linalg.norm does
-            for i in range(1, shape[2]):
-                sq += dw[:, :, i] ** 2
-            jump = np.sqrt(sq, out=sq) > JUMP_MARK_FACTOR
-        dw *= noise.sigma * h ** (1.0 / noise.alpha)
+        dw = sample_isotropic_stable(noise.alpha, shape[2], gen, size=na * nb).reshape(shape)
+        sq = dw[:, :, 0] ** 2  # |dw|^2 summed in axis order, as np.linalg.norm does
+        for i in range(1, shape[2]):
+            sq += dw[:, :, i] ** 2
+        jump = np.sqrt(sq, out=sq) > JUMP_MARK_FACTOR
+    dw *= noise.sigma * h ** (1.0 / noise.alpha)
+    return dw, jump
+
+
+def _build_knots(spec, pos, h, dw):
+    """(na, nb + 1, d) knots from the rows of pos and their (na, nb, d - noise_offset) increments.
+
+    A state-independent drift step is added to every increment and each
+    coordinate's knots are their cumulative sums (a noiseless clock
+    coordinate shares one sum over all rows); any other drift is evaluated
+    at each knot in turn: ``x + (b(x) h + dW)``.
+    """
+    na, d = pos.shape
+    nb = dw.shape[1]
+    off = spec.noise_offset  # the leading (clock) coordinates carry no noise
     X = np.empty((na, nb + 1, d))
     X[:, 0] = pos
     v = _velocity(spec.drift)
@@ -452,7 +483,7 @@ def euler_block(spec: ProcessSpec, pos, h, gen, nb):
             step = spec.drift(X[:, j]) * h
             step[:, off:] += dw[:, j]
             np.add(X[:, j], step, out=X[:, j + 1])
-    return X, jump
+    return X
 
 
 def simulate_path(spec: ProcessSpec, x0, h, horizon, rng) -> CadlagPath:

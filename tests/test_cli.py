@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from fkexit import feynman_kac
 from fkexit.cli import main, run
+from fkexit.engine import CHUNK_SIZE
 from fkexit.errors import ConfigError
 from fkexit.pde_oracle import closed_form_v0
 
@@ -115,6 +117,31 @@ def test_nested_value_of_the_wrong_kind_is_config_error(tmp_path, capsys, spec, 
     assert main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"config key {key!r}='x'" in err and "e.g." in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("spec,domain,key,value", [
+    ({"drift": {"name": "zero"}, "noise": {"kind": "brownian", "eps": 1.0}, "d": 1.5}, BALL,
+     "d", "1.5"),
+    ({"drift": {"name": "zero"}, "noise": {"kind": "brownian", "eps": 1.0}, "d": True}, BALL,
+     "d", "True"),
+    ({"drift": {"name": "zero"}, "noise": {"kind": "brownian", "eps": True}, "d": 1}, BALL,
+     "eps", "True"),
+    ({"drift": {"name": "zero"}, "noise": {"kind": "brownian", "eps": 1.0}, "d": 1,
+      "noise_offset": 0.5}, BALL, "noise_offset", "0.5"),
+    ({"drift": {"name": "constant", "velocity": [True]}, "noise": {"kind": "none"}, "d": 1},
+     BALL, "velocity", "[True]"),
+    ({"drift": {"name": "zero"}, "noise": {"kind": "brownian", "eps": 1.0}, "d": 1},
+     {"shape": "interval", "a": False, "b": 1}, "a", "False"),
+], ids=["fractional-d", "bool-d", "bool-eps", "fractional-offset", "bool-velocity", "bool-a"])
+def test_nested_bool_or_fraction_is_config_error(tmp_path, capsys, spec, domain, key, value):
+    # int() and float() would read these as 1, 1, 1.0, 0, [1.0] and 0.0
+    cfg = {"experiment": "regularity-scan", "params": {"spec": spec, "domain": domain},
+           "mc": {"n": 10, "h": 1e-3, "seed": 3}, "output": {"path": "r.csv"}}
+    assert _main_on(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"config key {key!r}={value}" in err
+    assert "e.g." in err
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -319,6 +346,26 @@ def test_fractional_hjb_grid_is_bounded_and_the_same_for_any_workers(tmp_path):
     for t, _, v1, se1, v2, se2 in (map(float, r) for r in rows[1:]):
         for v, se in ((v1, se1), (v2, se2)):
             assert 0.0 <= v <= (1.0 - t) + 3.0 * se
+
+
+def test_fractional_hjb_grid_over_two_chunks_is_the_same_for_any_workers(tmp_path,
+                                                                        monkeypatch):
+    # 4 starts share each path, so a chunk holds CHUNK_SIZE // 4 paths and
+    # n = 2100 spans two chunks on each route; one engine call per route
+    assert CHUNK_SIZE // 4 < 2100 <= 2 * (CHUNK_SIZE // 4)
+    calls = []
+    batch = feynman_kac.run_batch
+    monkeypatch.setattr(feynman_kac, "run_batch",
+                        lambda *a, **k: calls.append(a) or batch(*a, **k))
+    cfg = {"experiment": "fractional-hjb", "params": {"nt": 2, "nx": 2},
+           "mc": {"n": 2100, "h": 1e-2, "seed": 5}, "output": {"path": "f.csv"}}
+    paths = [run(cfg, workers=w, out_dir=str(tmp_path / f"w{w}")) for w in (1, 2)]
+    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    assert len(calls) == 4
+    _, rows = _read_csv(paths[0])
+    assert len(rows) == 5
+    for t, _, v1, se1, v2, se2 in (map(float, r) for r in rows[1:]):
+        assert abs(v1 - v2) <= 4.0 * math.hypot(se1, se2)
 
 
 def test_viscosity_check_v_eps(tmp_path):

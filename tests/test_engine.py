@@ -16,7 +16,7 @@ from fkexit.engine import CHUNK_SIZE, STOP_RULES, run_batch, run_single
 from fkexit.errors import ConfigError, DimensionMismatch, InvalidStart, InvalidStep
 from fkexit.feynman_kac import (EXIT_RULES, ROUTES, DirichletProblem, estimate_discounted_exit,
                                 estimate_v, estimate_v_nonstationary)
-from fkexit.functions import Constant, PathSpaceCost, SpatialCost, Zero
+from fkexit.functions import Constant, PathSpaceCost, SpatialCost, TimeScaledCost, Zero
 from fkexit.geometry import Ball, Box, Cylinder, Interval
 from fkexit.levy import (AffineDrift, BrownianNoise, ConstantDrift, NoNoise, ProcessSpec,
                          StableNoise, ZeroDrift, block_steps, lift_time, simulate_path)
@@ -726,3 +726,78 @@ def test_no_bridge_switch():
             if isinstance(node, ast.keyword) and node.arg == "bridge":
                 found.append((path.name, node.value.lineno))
     assert not found, f"modules pass bridge= at (file, line) {found}"
+
+
+# ---------------------------------------------------------------------------
+# Several starts on one path set: rows are (path, start) pairs, path-major,
+# and the starts of a path share its noise.
+
+SPEC_LIFTED_STABLE = lift_time(SPEC_STABLE_1D)
+
+
+@pytest.mark.parametrize("spec,domain,x0,horizon,kw", [
+    (SPEC_LIFTED_STABLE, Cylinder(1.0, Ball([0.0], 1.0)), [0.2, 0.3], 0.802,
+     dict(lam=1.0, cost_fn=TimeScaledCost(Constant(1.0), 1.0))),
+    (SPEC_BALL, Ball([0.0, 0.0], 1.0), [0.1, 0.2], 20.0, dict(stop="open")),
+], ids=["stable-cylinder", "stable-ball-2d"])
+def test_one_start_as_a_row_gives_the_same_bytes(spec, domain, x0, horizon, kw):
+    point, row = [run_batch(spec, domain, start, 1e-3, horizon, 3000, 21, **kw)
+                  for start in (x0, [x0])]
+    for f in EXIT_FIELDS + ("cost",):
+        assert getattr(point, f).tobytes() == getattr(row, f).tobytes(), f
+
+
+def test_shared_noise_lid_landings_are_the_start_offset_apart():
+    # on a wide cylinder most paths reach the lid; from x and x + delta at
+    # the same t a path's two rows see the same increments, so they land at
+    # the lid at the same time, delta apart in space
+    delta, n, T = 0.37, 2000, 0.05
+    res = run_batch(SPEC_LIFTED_STABLE, Cylinder(T, Interval(-50.0, 50.0)),
+                    [[0.0, 0.1], [0.0, 0.1 + delta]], 1e-3, T + 2e-3, n, 5)
+    point = res.point.reshape(n, 2, 2)
+    lid = (point[:, :, 0] >= T - 1e-9).all(axis=1)
+    assert lid.mean() > 0.9
+    np.testing.assert_allclose(point[lid, 1, 1] - point[lid, 0, 1], delta, rtol=0, atol=1e-12)
+    zeta = res.zeta.reshape(n, 2)
+    np.testing.assert_array_equal(zeta[lid, 0], zeta[lid, 1])
+
+
+def test_several_starts_on_the_dyadic_route_match_runs_per_start(monkeypatch):
+    # dyadic step sizes differ per row, so a chunk runs its starts one after
+    # the other; each start keeps its law: mean exit times within 4 sigma
+    starts, n = [0.2, 0.5, 0.8], 4000
+    calls = []
+
+    def counting_dyadic(*args):
+        calls.append(args[2])
+        return dyadic(*args)
+
+    dyadic = engine._run_dyadic
+    monkeypatch.setattr(engine, "_run_dyadic", counting_dyadic)
+    shared = run_batch(SPEC_BROWN, Interval(0, 1), [[x] for x in starts], 1e-3, 20.0, n, 5)
+    chunks = -(-n // (CHUNK_SIZE // len(starts)))
+    assert len(calls) == chunks * len(starts) and chunks > 1
+    zeta = shared.zeta.reshape(n, len(starts))
+    for s, x in enumerate(starts):
+        alone = run_batch(SPEC_BROWN, Interval(0, 1), [x], 1e-3, 20.0, n, 50 + s).zeta
+        se = math.hypot(zeta[:, s].std(ddof=1), alone.std(ddof=1)) / math.sqrt(n)
+        assert abs(zeta[:, s].mean() - alone.mean()) <= 4 * se, x
+
+
+def test_shared_noise_blocks_stay_within_block_elements(monkeypatch):
+    # 6 starts: 3000 rows at first, so blocks of 16 steps, then longer ones as
+    # rows exit, never beyond BLOCK_ELEMENTS row-steps once 16 steps fit
+    shapes = []
+
+    def recording_block(*args):
+        X, jump = levy.euler_block(*args)
+        shapes.append(X.shape[:2])
+        return X, jump
+
+    monkeypatch.setattr(engine, "euler_block", recording_block)
+    starts = [[t, x] for t in (0.0, 0.5) for x in (-0.9, 0.0, 0.9)]
+    run_batch(SPEC_LIFTED_STABLE, Cylinder(1.0, Ball([0.0], 1.0)), starts, 1e-3, 1.002, 500, 8)
+    assert shapes[0] == (3000, 17)
+    for na, nbp in shapes:
+        assert (nbp - 1) * na <= max(levy.BLOCK_ELEMENTS, levy.FIRST_BLOCK_STEPS * na)
+    assert any(na <= 2048 and nbp > 17 for na, nbp in shapes)

@@ -5,7 +5,8 @@ import pytest
 
 from fkexit.errors import DegenerateP, InvalidStart
 from fkexit.feynman_kac import (DirichletProblem, attainment_witness, estimate_discounted_exit,
-                                estimate_v, estimate_v_nonstationary, evaluate_grid)
+                                estimate_v, estimate_v_nonstationary,
+                                estimate_v_nonstationary_grid, evaluate_grid)
 from fkexit.functions import Constant, GaussianBump, Zero
 from fkexit.geometry import Ball, Cylinder, Interval
 from fkexit.levy import (BrownianNoise, ConstantDrift, NoNoise, ProcessSpec, StableNoise,
@@ -154,3 +155,37 @@ def test_value_continuous_away_from_curve():
     a = estimate_v(prob, spec, [0.5, 0.5], 1e-3, 4, 1)
     b = estimate_v(prob, spec, [0.5, 0.52], 1e-3, 4, 1)
     assert abs(a.mean - b.mean) < 0.02
+
+
+class TestNonstationaryGrid:
+    """One path set per route: every (t, x) start shares each path's noise."""
+
+    T = 1.0
+    XS = np.linspace(-0.9, 0.9, 10)  # the criterion-8 grid
+    TS = [0.0, 0.2, 0.4, 0.6, 0.8]
+
+    def setup_method(self):
+        self.prob = DirichletProblem(Cylinder(self.T, Ball([0.0], 1.0)), Constant(1.0), Zero(),
+                                     1.0)
+        self.spec = ProcessSpec(ZeroDrift(1), StableNoise(1.5, 1.0), 1)
+
+    def test_direct_column_never_increases_in_t(self):
+        # every t reads min(tau, T - t) of the same paths, so exactly
+        xs = self.XS[[0, 3, 5, 9]]
+        points = [(t, [x]) for t in self.TS for x in xs]
+        ests = estimate_v_nonstationary_grid(self.prob, self.spec, points, 1e-3, 400, 17)
+        v = np.array([e.mean for e in ests]).reshape(len(self.TS), len(xs))
+        assert (np.diff(v, axis=0) <= 0.0).all()
+        assert (np.diff(v, axis=0) < 0.0).any()
+
+    @pytest.mark.parametrize("route", ["direct", "lifted"])
+    def test_grid_matches_estimates_per_point(self, route):
+        cells = [(0, 1), (2, 5), (4, 9)]
+        points = [(self.TS[i], [self.XS[j]]) for i, j in cells] + [(self.T, [0.0]), (0.5, [1.5])]
+        grid = estimate_v_nonstationary_grid(self.prob, self.spec, points, 1e-3, 3000, 23,
+                                             route=route)
+        for (t, x), g in zip(points[:3], grid):
+            p = estimate_v_nonstationary(self.prob, self.spec, t, x, 1e-3, 3000, 24, route=route)
+            assert abs(g.mean - p.mean) <= 4 * math.hypot(g.std_error, p.std_error), (t, x)
+        for g in grid[3:]:  # at t = T and outside: exact zeros
+            assert (g.mean, g.std_error) == (0.0, 0.0)
