@@ -28,8 +28,9 @@ boundary crossing is the earliest closed-form crossing over the domain's
 faces (``geometry.segment_crossing``, shared with the path operators; the
 engine keeps no shape geometry); where all faces are flat and every axis is
 Brownian, :func:`run_batch` always runs a Brownian-bridge test that catches
-crossings that both endpoints miss (:func:`run_single` never does, so that
-it keeps to its skeleton's stream).
+crossings that both endpoints miss, and takes the time and place of every
+exit from the step's bridge as the dyadic route does (:func:`_face_exits`;
+:func:`run_single` never does, so that it keeps to its skeleton's stream).
 A stable step is refined only at a flat face across a noiseless coordinate
 (a lifted spec's clock), which its drift alone crosses; otherwise a jump is
 the exit itself, and its landing point is the exit point (boundary data
@@ -233,14 +234,6 @@ def _bridge_fires(z, gen, where=True):
     return fires
 
 
-def _snap(faces, face_of, x):
-    """The (m, d) points x, row i moved onto faces[face_of[i]], in place."""
-    for f, face in enumerate(faces):
-        on = face_of == f
-        x[on] = face.snap(x[on])
-    return x
-
-
 def _bridge_scan(X, faces, half_var, gen, exit_step, bridge_face):
     """Brownian-bridge crossings of the block's steps over flat faces, in place on the row arrays.
 
@@ -343,12 +336,18 @@ def _run_blocks(spec, domain, starts, h, n_steps, gen, paths, lam, cost_fn, stop
                         tau[r2] = (k0 + je[out] + s) * h
                         xex[r2] = face.snap(a2 + v * s[:, None])
                         jump_exit[r2] = False
+            elif bridge_faces:
+                # the faces past the end knot and the bridged one are crossed at
+                # times of their exact law, as on the dyadic route
+                d0, d1 = (np.array([f.distance(p) for f in bridge_faces]) for p in (a, b))
+                crossed = d1 < 0.0 if stop == "closure" else d1 <= 0.0
+                br = np.flatnonzero(bridge_face[rows] >= 0)
+                crossed[bridge_face[rows[br]], br] = True
+                _, te, xex[rows] = _face_exits(bridge_faces, crossed, d0, d1, a, b,
+                                               np.full(rows.size, h), spec.noise.eps, gen)
+                tau[rows] = (k0 + je) * h + te
             else:
-                # a bridge exit is placed at the step's midpoint, on its face
                 s, xex[rows] = segment_crossing(domain, a, b, stop)
-                br = bridge_face[rows] >= 0
-                s[br] = 0.5
-                xex[rows[br]] = _snap(bridge_faces, bridge_face[rows[br]], 0.5 * (a[br] + b[br]))
                 tau[rows] = (k0 + je + s) * h
 
         if stop == "closure":
@@ -471,18 +470,12 @@ def _run_dyadic(spec, faces, x0, h, n_steps, gen, m):
         z = dist * d1
         z *= 2.0 / (eps * eps * H)
         crossed |= _bridge_fires(z, gen, ~crossed)  # drawn over (face, row)
-        f_ix, r = np.nonzero(crossed)
         live = k + ns < n_steps
-        if r.size:
-            t = np.full(dist.shape, np.inf)
-            t[f_ix, r] = _passage_times(dist[f_ix, r], np.abs(d1[f_ix, r]), H[r], eps, gen)
-            out = np.unique(r)
-            face_of = t[:, out].argmin(axis=0)
-            te = t[face_of, out]
+        if crossed.any():
+            out, te, x = _face_exits(faces, crossed, dist, d1, pos, b, H, eps, gen)
             g = idx[out]
             zeta[g] = k[out] * h + te
-            pt[g] = _bridge_exit_points(faces, face_of, pos[out], b[out], dist[:, out],
-                                        te, H[out], eps, gen)
+            pt[g] = x
             # the h-grid step that holds the exit
             steps[g] = k[out] + np.minimum(np.ceil(te / h), ns[out]).astype(int)
             live[out] = False
@@ -511,20 +504,41 @@ def _passage_times(d0, d1, H, eps, gen):
     return H * d0 / (d0 + np.where(small, m, d1 * d1 / m))
 
 
+def _face_exits(faces, crossed, d0, d1, a, b, H, eps, gen):
+    """(rows, times, points) of the exits of the Brownian steps a -> b of length H.
+
+    ``crossed`` marks, over (face, row), the faces each step crosses, at
+    distances d0 and d1 from its ends (d1 < 0 beyond the face), and rows are
+    the steps with a crossed face.  Each crossed face takes a time from
+    :func:`_passage_times`, the earliest is the exit, and
+    :func:`_bridge_exit_points` places it.  A step that starts on a face it
+    crosses (d0 = 0) leaves at once, with no draw.
+    """
+    out = np.flatnonzero(crossed.any(axis=0))
+    t = np.where(crossed, 0.0, np.inf)
+    f_ix, r = np.nonzero(crossed & (d0 > 0.0))
+    t[f_ix, r] = _passage_times(d0[f_ix, r], np.abs(d1[f_ix, r]), H[r], eps, gen)
+    face_of = t[:, out].argmin(axis=0)
+    te = t[face_of, out]
+    return out, te, _bridge_exit_points(faces, face_of, a[out], b[out], d0[:, out], te, H[out],
+                                        eps, gen)
+
+
 def _bridge_exit_points(faces, face_of, a, b, dist, t, H, eps, gen):
     """Points at the crossing times t of the steps a -> b of length H, on the faces face_of.
 
     The other coordinates come from their Brownian bridges at time t, drawn
     again until none has crossed its faces before t: each face at distances
     d0 (from a) and dx (from the point) is crossed with probability
-    exp(-2 d0 dx / (eps^2 t)), as in the step's own test.
+    exp(-2 d0 dx / (eps^2 t)), as in the step's own test.  In 1-d the face
+    fixes the point, and a step that leaves at t = 0 leaves from a.
     """
     x = a.copy()
-    todo = np.arange(len(x) if x.shape[1] > 1 else 0)  # in 1-d the face fixes the point
+    todo = np.flatnonzero(t > 0.0) if x.shape[1] > 1 else np.arange(0)
     if todo.size:
         mean = a + (b - a) * (t / H)[:, None]
         sd = eps * np.sqrt(t * (H - t) / H)
-        two_over_var = 2.0 / (eps * eps * t)
+        two_over_var = 2.0 / (eps * eps * np.where(t > 0.0, t, np.inf))
     while todo.size:
         x[todo] = mean[todo] + sd[todo, None] * gen.standard_normal((todo.size, x.shape[1]))
         crossed = np.zeros(todo.size, bool)
@@ -532,7 +546,10 @@ def _bridge_exit_points(faces, face_of, a, b, dist, t, H, eps, gen):
             z = two_over_var[todo] * dist[f, todo] * face.distance(x[todo])
             crossed |= _bridge_fires(z, gen, face_of[todo] != f)
         todo = todo[crossed]
-    return _snap(faces, face_of, x)
+    for f, face in enumerate(faces):
+        on = face_of == f
+        x[on] = face.snap(x[on])
+    return x
 
 
 # ---------------------------------------------------------------------------

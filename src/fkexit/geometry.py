@@ -356,6 +356,9 @@ class Ball(Domain):
         return self.center.size
 
     def _inside(self, pts, strict):
+        if self.d == 1:  # between its faces, as a Box tests it
+            x, lo, hi = pts[..., 0], self.center[0] - self.radius, self.center[0] + self.radius
+            return (x > lo) & (x < hi) if strict else (x >= lo) & (x <= hi)
         # |x - c|^2 summed in axis order, as np.linalg.norm does: bit for bit the norm
         dist = (pts[..., 0] - self.center[0]) ** 2
         for i in range(1, self.d):
@@ -367,6 +370,9 @@ class Ball(Domain):
         return self.center - self.radius, self.center + self.radius
 
     def faces(self):
+        if self.d == 1:  # the interval (c - r, c + r), with the faces a Box gives it
+            c, r = float(self.center[0]), float(self.radius)
+            return [AxisFace(0, c - r, -1), AxisFace(0, c + r, 1)]
         return [SphereFace(tuple(self.center), float(self.radius), tuple(range(self.d)))]
 
     def exterior_cone(self, x):

@@ -33,7 +33,7 @@ as a certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -196,12 +196,23 @@ class TestFunction:
 
 
 class _PolyBump(TestFunction):
-    """(a + l.y + y.diag(q).y) * envelope(y), y = x - center.
+    """P(y) * envelope(y), P(y) = a + l.y + y.diag(q).y and y = x - center.
 
     Bumps of one family share center, amplitude and envelope and differ only
     in the tilts ``lin`` and ``quad``, so the viscosity checker evaluates a
-    family on its lattice as one array from a single ``envelope`` pass.
+    family on its lattice as one array from a single ``envelope`` pass.  A
+    family (a dataclass named by ``family``) brings only its envelope, the
+    envelope's derivatives at one offset and its ``decay_envelope``.
     """
+
+    family = None
+
+    def __post_init__(self):
+        c = np.atleast_1d(np.asarray(self.center, float))
+        object.__setattr__(self, "center", c)
+        for name in ("lin", "quad"):
+            v = getattr(self, name)
+            object.__setattr__(self, name, np.zeros(c.size) if v is None else np.asarray(v, float))
 
     @property
     def d(self):
@@ -211,12 +222,40 @@ class _PolyBump(TestFunction):
         """Envelope factor at the rows of y (offsets from the center)."""
         raise NotImplementedError
 
+    def envelope_derivatives(self, y):
+        """(e, grad e, Hessian of e) of the envelope at one offset y."""
+        raise NotImplementedError
+
     def __call__(self, x):
         y = np.asarray(x, float) - self.center
         single = y.ndim == 1
         y = np.atleast_2d(y)
         out = (self.amplitude + y @ self.lin + (y * y) @ self.quad) * self.envelope(y)
         return float(out[0]) if single else out
+
+    def _factors(self, x):
+        """(P, grad P, e, grad e, Hessian of e) at one point x."""
+        y = np.asarray(x, float) - self.center
+        p = self.amplitude + float(y @ self.lin) + float((y * y) @ self.quad)
+        return (p, self.lin + 2 * self.quad * y, *self.envelope_derivatives(y))
+
+    def gradient(self, x):
+        p, dp, e, de, _ = self._factors(x)
+        return e * dp + p * de
+
+    def hessian(self, x):
+        p, dp, e, de, d2e = self._factors(x)
+        return e * np.diag(2 * self.quad) + np.outer(dp, de) + np.outer(de, dp) + p * d2e
+
+    def _poly_bound(self, r):
+        """A bound on |P(y)| over |y| <= r."""
+        return (abs(self.amplitude) + float(np.linalg.norm(self.lin)) * r
+                + float(np.max(np.abs(self.quad), initial=0.0)) * r * r)
+
+    def params(self):
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"family": self.family, **{k: v.tolist() if isinstance(v, np.ndarray) else v
+                                          for k, v in values.items()}}
 
 
 @dataclass(frozen=True)
@@ -229,44 +268,19 @@ class GaussPolyBump(_PolyBump):
     lin: np.ndarray = None
     quad: np.ndarray = None
 
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.center, float))
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "lin",
-                           np.zeros(c.size) if self.lin is None else np.asarray(self.lin, float))
-        object.__setattr__(self, "quad",
-                           np.zeros(c.size) if self.quad is None else np.asarray(self.quad, float))
+    family = "gauss-poly"
 
     def envelope(self, y):
         return np.exp(-np.einsum("ij,ij->i", y, y) / (2 * self.width**2))
 
-    def gradient(self, x):
-        y = np.asarray(x, float) - self.center
-        g = math.exp(-float(y @ y) / (2 * self.width**2))
-        p = self.amplitude + float(y @ self.lin) + float((y * y) @ self.quad)
-        dp = self.lin + 2 * self.quad * y
-        return g * (dp - p * y / self.width**2)
-
-    def hessian(self, x):
-        y = np.asarray(x, float) - self.center
+    def envelope_derivatives(self, y):
         w2 = self.width**2
         g = math.exp(-float(y @ y) / (2 * w2))
-        p = self.amplitude + float(y @ self.lin) + float((y * y) @ self.quad)
-        dp = self.lin + 2 * self.quad * y
-        d2p = np.diag(2 * self.quad)
-        return g * (d2p - (np.outer(dp, y) + np.outer(y, dp)) / w2
-                    + p * (np.outer(y, y) / w2**2 - np.eye(self.d) / w2))
+        return g, -g * y / w2, g * (np.outer(y, y) / w2**2 - np.eye(self.d) / w2)
 
     def decay_envelope(self, r):
         # the polynomial factor grows; push the bound one width further out
-        rr = r + 4.0 * self.width
-        amp = abs(self.amplitude) + float(np.linalg.norm(self.lin)) * rr \
-            + float(np.max(np.abs(self.quad), initial=0.0)) * rr * rr
-        return amp * math.exp(-r * r / (2 * self.width**2))
-
-    def params(self):
-        return {"family": "gauss-poly", "center": self.center.tolist(), "width": self.width,
-                "amplitude": self.amplitude, "lin": self.lin.tolist(), "quad": self.quad.tolist()}
+        return self._poly_bound(r + 4.0 * self.width) * math.exp(-r * r / (2 * self.width**2))
 
 
 @dataclass(frozen=True)
@@ -283,17 +297,12 @@ class CompactPolyBump(_PolyBump):
     lin: np.ndarray = None
     quad: np.ndarray = None
 
+    family = "compact-poly"
+
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.center, float))
-        object.__setattr__(self, "center", c)
+        super().__post_init__()
         r = np.asarray(self.radius, float)
-        if r.ndim == 0:
-            r = np.full(c.size, float(r))
-        object.__setattr__(self, "radius", r)
-        object.__setattr__(self, "lin",
-                           np.zeros(c.size) if self.lin is None else np.asarray(self.lin, float))
-        object.__setattr__(self, "quad",
-                           np.zeros(c.size) if self.quad is None else np.asarray(self.quad, float))
+        object.__setattr__(self, "radius", np.full(self.d, float(r)) if r.ndim == 0 else r)
 
     def envelope(self, y):
         s = np.sum((y / self.radius) ** 2, axis=-1)
@@ -303,49 +312,20 @@ class CompactPolyBump(_PolyBump):
         beta[inside] = np.exp(1.0 - 1.0 / (1.0 - ss[inside]))
         return beta
 
-    def _beta_chain(self, y):
+    def envelope_derivatives(self, y):
+        # beta(s) and its s-derivatives b1, b2, chained through s(y)
         s = float(np.sum((y / self.radius) ** 2))
         if s >= 1.0 - 1e-12:
-            return 0.0, 0.0, 0.0, s
+            return 0.0, np.zeros(self.d), np.zeros((self.d, self.d))
         beta = math.exp(1.0 - 1.0 / (1.0 - s))
         b1 = -beta / (1.0 - s) ** 2
         b2 = beta / (1.0 - s) ** 4 - 2.0 * beta / (1.0 - s) ** 3
-        return beta, b1, b2, s
-
-    def gradient(self, x):
-        y = np.asarray(x, float) - self.center
-        beta, b1, _, s = self._beta_chain(y)
-        if beta == 0.0:
-            return np.zeros(self.d)
         ds = 2.0 * y / self.radius**2
-        p = self.amplitude + float(y @ self.lin) + float((y * y) @ self.quad)
-        dp = self.lin + 2 * self.quad * y
-        return beta * dp + p * b1 * ds
-
-    def hessian(self, x):
-        y = np.asarray(x, float) - self.center
-        beta, b1, b2, s = self._beta_chain(y)
-        if beta == 0.0:
-            return np.zeros((self.d, self.d))
-        ds = 2.0 * y / self.radius**2
-        d2s = np.diag(2.0 / self.radius**2)
-        p = self.amplitude + float(y @ self.lin) + float((y * y) @ self.quad)
-        dp = self.lin + 2 * self.quad * y
-        d2p = np.diag(2 * self.quad)
-        return (beta * d2p + b1 * (np.outer(dp, ds) + np.outer(ds, dp))
-                + p * (b2 * np.outer(ds, ds) + b1 * d2s))
+        return beta, b1 * ds, b2 * np.outer(ds, ds) + b1 * np.diag(2.0 / self.radius**2)
 
     def decay_envelope(self, r):
-        if r >= float(np.max(self.radius)):
-            return 0.0
         rmax = float(np.max(self.radius))
-        return (abs(self.amplitude) + float(np.linalg.norm(self.lin)) * rmax
-                + float(np.max(np.abs(self.quad), initial=0.0)) * rmax**2)
-
-    def params(self):
-        return {"family": "compact-poly", "center": self.center.tolist(),
-                "radius": self.radius.tolist(), "amplitude": self.amplitude,
-                "lin": self.lin.tolist(), "quad": self.quad.tolist()}
+        return 0.0 if r >= rmax else self._poly_bound(rmax)
 
 
 # ---------------------------------------------------------------------------
@@ -557,17 +537,7 @@ class ViscosityReport:
         return not self.violations
 
     def to_json(self):
-        return {
-            "point": self.point.tolist(),
-            "mode": self.mode,
-            "violations": self.violations,
-            "tested_count": self.tested_count,
-            "admissible_plus": self.admissible_plus,
-            "admissible_minus": self.admissible_minus,
-            "j_plus_empty": self.j_plus_empty,
-            "j_minus_empty": self.j_minus_empty,
-            "notes": self.notes,
-        }
+        return {**asdict(self), "point": self.point.tolist()}
 
 
 _COMPACT_QUADS = (-64.0, -24.0, -8.0, -2.0, -0.5, 0.0, 0.5, 2.0, 8.0, 24.0, 64.0)

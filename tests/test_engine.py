@@ -378,6 +378,39 @@ def test_start_outside_the_closure_exits_at_once_on_every_route(route, stop, mon
         assert res.n == n and not (res.truncated.any() or res.via_jump.any())
 
 
+def test_bridged_blocked_discounted_exit_matches_closed_form():
+    # E e^(-lam tau) for dX = dt + dW on (0, 1) from 0.5: u''/2 + u' = lam u,
+    # u(0) = u(1) = 1.  The affine twin of the constant drift takes the blocked
+    # route with the bridge, whose exits take the crossing law of the dyadic
+    # route; a midpoint or linear exit read -0.97% (z -4.9) at this step
+    lam, n = 10.0, 200_000
+    res = run_batch(SPEC_BROWN_AFFINE, Interval(0, 1), [0.5], 1e-2, 50.0, n, 4711)
+    assert not res.truncated.any()
+    r1, r2 = -1.0 + math.sqrt(1.0 + 2.0 * lam), -1.0 - math.sqrt(1.0 + 2.0 * lam)
+    b = -math.expm1(r1) / (math.exp(r2) - math.exp(r1))
+    truth = (1.0 - b) * math.exp(0.5 * r1) + b * math.exp(0.5 * r2)
+    v = np.exp(-lam * res.zeta)
+    assert abs(v.mean() - truth) <= 4.0 * v.std(ddof=1) / math.sqrt(n)
+
+
+@pytest.mark.parametrize("stop", STOP_RULES)
+@pytest.mark.parametrize("domain,x0,A", [
+    (Interval(0, 1), [0.0], [[-1.0]]), (Interval(0, 1), [1.0], [[-1.0]]),
+    (Box([0.0, 0.0], [1.0, 0.8]), [0.0, 0.8], -np.eye(2)),
+], ids=["lower-face", "upper-face", "box-corner"])
+def test_bridged_blocked_start_on_a_face_exits_at_once(domain, x0, A, stop):
+    spec = ProcessSpec(AffineDrift(A, np.full(domain.d, 0.5)), BrownianNoise(1.0), domain.d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_batch(spec, domain, x0, 1e-3, 5.0, 50, 3, lam=1.0,
+                        cost_fn=SpatialCost(Flat(2.0)), stop=stop)
+    for f in ("zeta", "zeta_hat", "cost"):
+        np.testing.assert_array_equal(getattr(res, f), 0, err_msg=f)
+    np.testing.assert_array_equal(res.point, np.tile(x0, (50, 1)))
+    np.testing.assert_array_equal(res.point_hat, np.tile(x0, (50, 1)))
+    assert not (res.truncated.any() or res.via_jump.any())
+
+
 @pytest.mark.parametrize("d0,d1,H,eps", [
     (0.03, 0.01, 1e-3, 1.0), (0.01, 0.05, 1e-2, 0.7), (0.2, 1e-3, 0.5, 1.0), (1e-3, 2.0, 1e-2, 1.0),
 ])
@@ -696,6 +729,29 @@ def test_cylinder_and_box_with_the_same_faces_give_the_same_bytes(spec, h, horiz
     assert not cyl.truncated.all()
     for f in EXIT_FIELDS + ("cost",):
         assert getattr(cyl, f).tobytes() == getattr(box, f).tobytes(), f
+
+
+@pytest.mark.parametrize("spec,kw", [
+    (ProcessSpec(ConstantDrift([0.3]), BrownianNoise(1.0), 1), dict()),
+    (ProcessSpec(AffineDrift([[-0.5]], [0.3]), BrownianNoise(1.0), 1),
+     dict(lam=1.0, cost_fn=SpatialCost(Flat(1.0)))),
+], ids=["dyadic", "blocked-bridge"])
+def test_one_d_ball_and_its_interval_give_the_same_bytes(spec, kw):
+    ball, interval = [run_batch(spec, domain, [0.2], 1e-3, 20.0, 2000, 17, **kw)
+                      for domain in (Ball([0.0], 1.0), Interval(-1, 1))]
+    assert not ball.truncated.any()
+    for f in EXIT_FIELDS + ("cost",):
+        assert getattr(ball, f).tobytes() == getattr(interval, f).tobytes(), f
+
+
+def test_one_d_ball_mean_exit_time_matches_closed_form():
+    # E_0 tau = r^2 / eps^2 for dX = eps dW on (-r, r): the 1-d ball bridges its
+    # two flat faces, where the unbridged sphere face read +12.2% at h = 1e-2
+    n = 20_000
+    res = run_batch(ProcessSpec(ZeroDrift(1), BrownianNoise(1.0), 1), Ball([0.0], 1.0), [0.0],
+                    1e-2, 50.0, n, 99)
+    assert not res.truncated.any()
+    assert abs(res.zeta.mean() - 1.0) <= 4.0 * res.zeta.std(ddof=1) / math.sqrt(n)
 
 
 def test_engine_names_no_shape():

@@ -49,6 +49,23 @@ def test_membership_consistency(x1, x2):
         assert dom.on_boundary(p) == (is_closed and not is_open)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-3, 3), st.floats(0.1, 3), st.integers(-3, 3), st.booleans())
+def test_one_d_ball_is_its_interval_to_the_last_bit(center, radius, ulps, upper):
+    # the engine decides exits by membership and places them by the faces'
+    # distances, so the two must agree on points within ulps of a face
+    ball = Ball([center], radius)
+    box = Box([center - radius], [center + radius])
+    assert ball.faces() == box.faces()
+    x = ball.faces()[int(upper)].value
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.sign(ulps) * np.inf)
+    p = np.array([[x]])
+    dist = min(float(f.distance(p)[0]) for f in ball.faces())
+    assert ball.contains(p, "closure") == box.contains(p, "closure") == (dist >= 0.0)
+    assert ball.contains(p, "open") == box.contains(p, "open") == (dist > 0.0)
+
+
 class TestExteriorCone:
     def test_ball_witness(self):
         cone = Ball([0, 0], 1.0).exterior_cone([1.0, 0.0])

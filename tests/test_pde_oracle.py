@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import reference_bumps
 
 from fkexit.errors import ConfigError, CutoffTooTight
 from fkexit.feynman_kac import DirichletProblem
@@ -96,6 +97,36 @@ class TestDerivatives:
                 assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-6 * scale)
                 fd2 = (float(phi.gradient(x + e)[i]) - float(phi.gradient(x - e)[i])) / (2 * eps)
                 assert H[i, i] == pytest.approx(fd2, rel=1e-5, abs=1e-6 * scale)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("family", [GaussPolyBump, CompactPolyBump])
+    def test_product_rule_matches_per_family_formulas(self, family, d):
+        # one product rule over each family's envelope derivatives against the
+        # formulas each family wrote out for itself, across tilts, inside and
+        # outside the compact support.  An entry can be a cancellation of
+        # product-rule terms far larger than itself, so it is held to 1e-13 of
+        # the sum of their sizes
+        gen = np.random.default_rng(40 + d)
+        outside = 0
+        for case in range(40):
+            center = gen.uniform(-1.0, 1.0, d)
+            scale = gen.uniform(0.2, 2.0, d) if family is CompactPolyBump else gen.uniform(0.2, 2.0)
+            tilt = {} if case % 4 == 0 else dict(lin=gen.uniform(-4.0, 4.0, d),
+                                                quad=gen.choice([-64.0, -2.0, 0.0, 0.5, 24.0], d))
+            phi = family(center, scale, gen.uniform(-2.0, 2.0), **tilt)
+            assert phi.params() == reference_bumps.params(phi)
+            assert list(phi.params()) == list(reference_bumps.params(phi))
+            for _ in range(10):
+                x = center + gen.uniform(-1.3, 1.3, d) * np.max(scale)
+                p, dp, e, de, d2e = (abs(np.asarray(f)) for f in phi._factors(x))
+                outside += e == 0.0
+                g_size = e * dp + p * de
+                h_size = e * np.diag(2 * abs(phi.quad)) + 2 * np.outer(dp, de) + p * d2e
+                assert np.all(abs(phi.gradient(x) - reference_bumps.gradient(phi, x))
+                              <= 1e-13 * g_size + 1e-15)
+                assert np.all(abs(phi.hessian(x) - reference_bumps.hessian(phi, x))
+                              <= 1e-13 * h_size + 1e-15)
+        assert outside > 0 if family is CompactPolyBump else outside == 0
 
 
 class TestFracLaplacian:
