@@ -167,7 +167,11 @@ def _spec_and_domain(params):
     spec = require_key(params, "spec", 'e.g. {"drift": {"name": "constant", "velocity": [1.0]}, '
                                        '"noise": {"kind": "none"}, "d": 1}')
     domain = require_key(params, "domain", 'e.g. {"shape": "interval", "a": 0, "b": 1}')
-    return spec_from_config(spec), domain_from_config(domain)
+    spec, domain = spec_from_config(spec), domain_from_config(domain)
+    if spec.d != domain.d:
+        raise ConfigError(f'the spec has "d": {spec.d} but the "domain" is {domain.d}-dimensional; '
+                          "give both the same dimension")
+    return spec, domain
 
 
 def run_regularity_scan(params, mc, workers):
@@ -239,6 +243,9 @@ def run_viscosity_check(params, mc, workers):
         spec = ProcessSpec(ConstantDrift([1.0]), NoNoise(), 1)
         u = GridFunction([xs], closed_form_v0(xs), Interval(0, 1), Zero())
     elif target == "v-eps":
+        if not (math.isfinite(eps) and eps > 0):
+            raise ConfigError(f"params.eps={eps!r} must be a finite number > 0 for target "
+                              "'v-eps', e.g. 1.0; target 'v0' is the eps = 0 limit")
         spec = ProcessSpec(ConstantDrift([1.0]), BrownianNoise(eps), 1)
         u = GridFunction([xs], closed_form_v_eps(eps, xs), Interval(0, 1), Zero())
     else:

@@ -12,9 +12,14 @@ starts of a path share its noise (common random numbers).  Each start's rows
 keep the law they have alone; only their correlation across starts is new.
 On the blocked route a block draws the noise once per live path, a path
 being live while any of its starts is; membership, exits, cost and
-bookkeeping stay per row.  On the dyadic route, whose step sizes differ per
-row, a chunk runs its starts one after the other from its generator.  One
-start, of shape (d,) or (1, d), runs exactly the single-start code.
+bookkeeping stay per row.  The dyadic route's rows share nothing, so it
+advances the chunk's m k rows as one batch.  One start, of shape (d,) or
+(1, d), runs exactly the single-start code.
+
+Which starts exit at once is decided in one place, :func:`_run`, for every
+route: a start outside the closure, or on a face the run bridges (whose
+bridge fires at once from it), exits at time 0 at its own point with
+``steps`` 0 and draws nothing.
 
 The blocked route advances a chunk in blocks of Euler steps, whose knots
 :func:`~fkexit.levy.euler_block` builds and whose lengths
@@ -34,8 +39,11 @@ exit from the step's bridge as the dyadic route does (:func:`_face_exits`;
 A stable step is refined only at a flat face across a noiseless coordinate
 (a lifted spec's clock), which its drift alone crosses; otherwise a jump is
 the exit itself, and its landing point is the exit point (boundary data
-lives on the whole complement).  Paths stopped by the horizon keep their
-running cost integral and are flagged truncated.
+lives on the whole complement).  Every block scans the open set once; a
+closure stop tests the closure only at each row's first open miss, and
+zeta_hat is that miss, or the exit where no open miss comes before it, under
+either stop.  Paths stopped by the horizon keep their running cost integral
+and are flagged truncated.
 
 Where that bridge test is exact for any step length (a batch run with
 Brownian noise on every axis, a state-independent drift, flat faces, and no
@@ -188,8 +196,7 @@ def _run_chunk(spec, domain, starts, h, n_steps, gen, m, lam, cost_fn, stop, bri
         cost_fn = None
     faces = _bridge_faces(spec, domain) if bridged else []
     if cost_fn is None and _velocity(spec.drift) is not None and faces:
-        res = _merge_starts([([s], _run_dyadic(spec, faces, x0, h, n_steps, gen, m))
-                             for s, x0 in enumerate(starts)], len(starts))
+        res = _run_dyadic(spec, faces, starts, h, n_steps, gen, m)
     else:
         res = _run_blocks(spec, domain, starts, h, n_steps, gen, m, lam, cost_fn, stop, faces)
     if c is not None:
@@ -284,10 +291,6 @@ def _run_blocks(spec, domain, starts, h, n_steps, gen, paths, lam, cost_fn, stop
     # them is solved exactly; its other crossings stay knot-level
     faces = (domain.faces() or []) if stable else []
     still_faces = [f for f in faces if isinstance(f, AxisFace) and f.axis < spec.noise_offset]
-    # a knot can sit in the closure but outside the open set only for jump
-    # dynamics or on a face across a noiseless coordinate; Brownian segments
-    # in a convex domain touch the boundary exactly when they cross it
-    scan_open = stop == "open" or stable or spec.noise_offset > 0
     if cost_fn is not None:
         w0, w1 = _trap_weights(h, lam)
     floor = BLOCK_STEPS if k_starts == 1 else FIRST_BLOCK_STEPS
@@ -296,19 +299,13 @@ def _run_blocks(spec, domain, starts, h, n_steps, gen, paths, lam, cost_fn, stop
     while idx.size and k0 < n_steps:
         na = idx.size
         nb = block_steps(k, na, n_steps - k0, floor)
-        if k_starts == 1:
-            X, jmask = euler_block(spec, pos, h, gen, nb)
-        else:  # one draw per live path, gathered to its live rows
-            path_of = np.unique(idx // k_starts, return_inverse=True)[1]
-            X, jmask = euler_block(spec, pos, h, gen, nb, path_of)
+        # k starts: one draw per live path, gathered to its live rows
+        path_of = np.unique(idx // k_starts, return_inverse=True)[1] if k_starts > 1 else None
+        X, jmask = euler_block(spec, pos, h, gen, nb, path_of)
 
-        if scan_open:
-            first_open = _first_outside(domain.contains(X[:, 1:], "open"))
-            exit_step = (first_open if stop == "open"
-                         else _first_outside_closure(domain, X, first_open))
-        else:
-            first_open = np.full(na, nb)
-            exit_step = _first_outside(domain.contains(X[:, 1:], "closure"))
+        first_open = _first_outside(domain.contains(X[:, 1:], "open"))
+        exit_step = (first_open if stop == "open"
+                     else _first_outside_closure(domain, X, first_open))
         bridge_face = np.full(na, -1)
         if bridge_faces:
             _bridge_scan(X, bridge_faces, 0.5 * spec.noise.eps ** 2 * h, gen,
@@ -340,7 +337,7 @@ def _run_blocks(spec, domain, starts, h, n_steps, gen, paths, lam, cost_fn, stop
                 # the faces past the end knot and the bridged one are crossed at
                 # times of their exact law, as on the dyadic route
                 d0, d1 = (np.array([f.distance(p) for f in bridge_faces]) for p in (a, b))
-                crossed = d1 < 0.0 if stop == "closure" else d1 <= 0.0
+                crossed = d1 <= 0.0
                 br = np.flatnonzero(bridge_face[rows] >= 0)
                 crossed[bridge_face[rows[br]], br] = True
                 _, te, xex[rows] = _face_exits(bridge_faces, crossed, d0, d1, a, b,
@@ -350,19 +347,19 @@ def _run_blocks(spec, domain, starts, h, n_steps, gen, paths, lam, cost_fn, stop
                 s, xex[rows] = segment_crossing(domain, a, b, stop)
                 tau[rows] = (k0 + je + s) * h
 
-        if stop == "closure":
-            nf = np.isinf(zhat[idx])  # rows yet to leave the open set
-            touch = nf & (first_open < exit_step)
-            if touch.any():
-                g = idx[touch]
-                jo = first_open[touch]
-                zhat[g] = (k0 + jo + 1.0) * h
-                pt_hat[g] = X[touch, jo + 1]
-            sync = nf & exited & (first_open >= exit_step)
-            if sync.any():
-                g = idx[sync]
-                zhat[g] = tau[sync]
-                pt_hat[g] = xex[sync]
+        # zeta_hat: a row's first open miss before its exit, else its exit
+        nf = np.isinf(zhat[idx])  # rows yet to leave the open set
+        touch = nf & (first_open < exit_step)
+        if touch.any():
+            g = idx[touch]
+            jo = first_open[touch]
+            zhat[g] = (k0 + jo + 1.0) * h
+            pt_hat[g] = X[touch, jo + 1]
+        sync = nf & exited & (first_open >= exit_step)
+        if sync.any():
+            g = idx[sync]
+            zhat[g] = tau[sync]
+            pt_hat[g] = xex[sync]
 
         if cost_fn is not None:
             lv = np.asarray(cost_fn(X), float)
@@ -385,9 +382,6 @@ def _run_blocks(spec, domain, starts, h, n_steps, gen, paths, lam, cost_fn, stop
             pt[g] = xex[rows]
             via[g] = jump_exit[rows]
             steps[g] = k0 + exit_step[rows] + 1
-            if stop == "open":
-                zhat[g] = tau[rows]
-                pt_hat[g] = xex[rows]
         keep = ~exited
         idx = idx[keep]
         pos = X[keep, nb]
@@ -430,35 +424,30 @@ def _dyadic_steps(dist, speed, eps, h, steps_left):
     return np.left_shift(np.int64(1), np.maximum(j, 0))
 
 
-def _run_dyadic(spec, faces, x0, h, n_steps, gen, m):
-    """Exits of m paths that step exactly, h 2^j at a time, between the faces.
+def _run_dyadic(spec, faces, starts, h, n_steps, gen, m):
+    """Exits of m paths from each of the (k, d) starts, m k rows path-major, that
+    step exactly, h 2^j at a time, between the faces.
 
-    A row takes the step H of :func:`_dyadic_steps` and draws its end point
-    a + v H + eps sqrt(H) Z.  A face at distances d0, d1 from the step's ends
-    is crossed when the end point is on it or beyond it, or else with the
-    one-face bridge probability exp(-2 d0 d1 / (eps^2 H)) (:func:`_bridge_fires`),
-    at a time from :func:`_passage_times`.  The earliest crossed face is the
-    exit.  The faces are tested one at a time, so the route neglects only a
+    Rows share nothing, so the m k rows are one batch.  A row takes the step
+    H of :func:`_dyadic_steps` and draws its end point a + v H + eps sqrt(H) Z.
+    A face at distances d0, d1 from the step's ends is crossed when the end
+    point is on it or beyond it, or else with the one-face bridge probability
+    exp(-2 d0 d1 / (eps^2 H)) (:func:`_bridge_fires`), at a time from
+    :func:`_passage_times`.  The earliest crossed face is the exit.  The faces are tested one at a time, so the route neglects only a
     crossing of a second face within the step, which the step rule keeps
     below about 2 P(Z > 6) = 2e-9 per step.
     """
     eps = spec.noise.eps
     v = _velocity(spec.drift)
     speed = np.array([[abs(v[f.axis])] for f in faces])  # (faces, 1)
-    zeta = np.full(m, np.inf)
-    pt = np.full((m, spec.d), np.nan)
-    steps = np.full(m, n_steps)
-    dist = np.array([f.distance(x0[None, :]) for f in faces])  # (faces, rows)
-    if dist.min() <= 0.0:  # a start on a face exits at once
-        zeta[:] = 0.0
-        pt[:] = x0
-        steps[:] = 0
-        idx = np.arange(0)
-    else:
-        idx = np.arange(m)
-        pos = np.tile(x0, (m, 1))
-        k = np.zeros(m, dtype=np.int64)  # h-steps done
-        dist = np.repeat(dist, m, axis=1)
+    pos = np.tile(starts, (m, 1))
+    n = len(pos)
+    zeta = np.full(n, np.inf)
+    pt = np.full((n, spec.d), np.nan)
+    steps = np.full(n, n_steps)
+    idx = np.arange(n)
+    k = np.zeros(n, dtype=np.int64)  # h-steps done
+    dist = np.array([f.distance(pos) for f in faces])  # (faces, rows)
     while idx.size:
         ns = _dyadic_steps(dist, speed, eps, h, n_steps - k)
         H = ns * h
@@ -482,8 +471,8 @@ def _run_dyadic(spec, faces, x0, h, n_steps, gen, m):
         keep = np.flatnonzero(live)
         idx, k = idx[keep], k[keep] + ns[keep]
         pos, dist = b.take(keep, axis=0), d1.take(keep, axis=1)
-    return BatchResult(zeta, zeta.copy(), pt, pt.copy(), np.zeros(m, bool), np.isinf(zeta),
-                       steps, np.zeros(m))
+    return BatchResult(zeta, zeta.copy(), pt, pt.copy(), np.zeros(n, bool), np.isinf(zeta),
+                       steps, np.zeros(n))
 
 
 def _passage_times(d0, d1, H, eps, gen):
@@ -623,25 +612,29 @@ def _run(spec, domain, x0, h, horizon, chunks, lam, cost_fn, stop, bridged, work
 
     ``bridged`` lets each chunk run the bridge test, and with it the dyadic
     route, wherever :func:`_bridge_faces` finds that test exact.  Each start
-    is taken on its own first: one outside the closure exits at once on
-    every route, at time 0 and at its own point, and a deterministic spec
-    runs one exact trajectory per start.  The other starts share the chunks.
+    is taken on its own first.  The one start rule: a start outside the
+    closure, or on a face the run bridges (whose bridge fires at once from
+    it), exits at once on every route, at time 0 and at its own point, with
+    ``steps`` 0 and no draws.  A deterministic spec runs one exact
+    trajectory per start.  The other starts share the chunks.
     """
     n = sum(m for _, m in chunks)
     check_inputs(h, n)
     check_workers(workers)
     check_run(horizon, stop)
     starts = _check_starts(spec, domain, x0)
-    inside = np.asarray(domain.contains(starts, "closure"))
+    moves = np.array(domain.contains(starts, "closure"), bool)
+    for face in _bridge_faces(spec, domain) if bridged else []:
+        moves &= face.distance(starts) > 0.0
     groups = []
-    if not inside.all():  # no draws
-        out = np.flatnonzero(~inside)
+    if not moves.all():  # no draws
+        out = np.flatnonzero(~moves)
         rows = n * out.size
         zero, point = np.zeros(rows), np.tile(starts[out], (n, 1))
         groups.append((out, BatchResult(zero, zero.copy(), point, point.copy(),
                                         np.zeros(rows, bool), np.zeros(rows, bool),
                                         np.zeros(rows, dtype=int), zero.copy())))
-    live = np.flatnonzero(inside)
+    live = np.flatnonzero(moves)
     if live.size and spec.is_deterministic:
         groups += [([s], _deterministic_result(spec, domain, starts[s], h, horizon, lam, cost_fn,
                                                stop, n)) for s in live]

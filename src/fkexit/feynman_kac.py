@@ -216,6 +216,8 @@ def estimate_v_nonstationary_grid(problem: DirichletProblem, spec: ProcessSpec, 
         if not math.isfinite(t):
             raise InvalidStart(f"start time t={t} must be finite")
         starts.append(np.concatenate([[t], check_start(spec, cyl.base, x)]))
+    if not starts:
+        raise InvalidStart("points holds no start; pass one or more (t, x) pairs")
     ests = [_exact_estimate(0.0, n, seed)] * len(starts)
     live = [i for i, y0 in enumerate(starts) if y0[0] < T and cyl.contains(y0, "closure")]
     if not live:

@@ -59,7 +59,7 @@ BLOCK_ELEMENTS = 32768
 
 
 class DriftField:
-    """Vector field b(x); callables are vectorized over (n, d) inputs."""
+    """Vector field b(x) on R^dim; callables are vectorized over (n, dim) inputs."""
 
     def __call__(self, x):
         raise NotImplementedError
@@ -87,6 +87,10 @@ class ConstantDrift(DriftField):
         return np.full(np.shape(x), self.velocity)
 
     @property
+    def dim(self):
+        return len(self.velocity)
+
+    @property
     def is_zero(self):
         return bool(np.all(self.velocity == 0))
 
@@ -111,6 +115,13 @@ class AffineDrift(DriftField):
     def __post_init__(self):
         object.__setattr__(self, "A", np.atleast_2d(np.asarray(self.A, float)))
         object.__setattr__(self, "c", np.atleast_1d(np.asarray(self.c, float)))
+        if self.A.shape != (self.dim, self.dim):
+            raise ConfigError(f'affine drift "A" of shape {self.A.shape} must be square, as long '
+                              f'as "c" (length {self.dim}), e.g. "A": [[-1.0]], "c": [0.0]')
+
+    @property
+    def dim(self):
+        return len(self.c)
 
     def __call__(self, x):
         x = np.asarray(x, float)
@@ -123,6 +134,8 @@ class AffineDrift(DriftField):
 @dataclass(frozen=True)
 class ParabolicDrift(DriftField):
     """Planar field b(x) = (1, 2 x1); its flow rides parabolas x2 = x1^2 + C."""
+
+    dim = 2
 
     def __call__(self, x):
         x = np.asarray(x, float)
@@ -143,6 +156,10 @@ class TimeAugmentedDrift(DriftField):
     """Drift of the time-extended process y = (t, x): dy = (1, b(x)) dt."""
 
     base: DriftField
+
+    @property
+    def dim(self):
+        return self.base.dim + 1
 
     def __call__(self, y):
         y = np.asarray(y, float)
@@ -277,8 +294,12 @@ def spec_from_config(cfg: dict) -> ProcessSpec:
     d = key("d", '"d": 1', as_int)
     drift_cfg = key("drift", '"drift": {"name": "zero"}', dict)
     drift_cfg.setdefault("d", d)
+    drift = drift_from_config(drift_cfg)
+    if drift.dim != d:
+        raise ConfigError(f'"drift" {drift_cfg.get("name")!r} is {drift.dim}-dimensional but '
+                          f'"d" is {d}; give both the same dimension')
     return ProcessSpec(
-        drift_from_config(drift_cfg),
+        drift,
         noise_from_config(key("noise", '"noise": {"kind": "brownian", "eps": 1.0}', dict)),
         d,
         key("noise_offset", '"noise_offset": 0', as_int) if "noise_offset" in cfg else 0,

@@ -82,7 +82,20 @@ def test_regularity_scan_unknown_noise_is_config_error(tmp_path, capsys):
      {"shape": "disk"}, "unknown domain shape 'disk'"),
     ({"drift": {"name": "zero"}, "noise": {"kind": "brownian", "eps": 1.0}},
      {"shape": "interval", "a": 0, "b": 1}, "missing config key 'd'"),
-], ids=["unknown-shape", "spec-without-d"])
+    ({"drift": {"name": "zero"}, "noise": {"kind": "brownian", "eps": 1.0}, "d": 2},
+     {"shape": "interval", "a": 0, "b": 1}, 'the spec has "d": 2 but the "domain" is 1-dim'),
+    ({"drift": {"name": "constant", "velocity": [1.0, 2.0]}, "noise": {"kind": "none"}, "d": 1},
+     {"shape": "interval", "a": 0, "b": 1}, '"drift" \'constant\' is 2-dimensional but "d" is 1'),
+    ({"drift": {"name": "affine", "A": [[1.0, 2.0]], "c": [0.0]},
+      "noise": {"kind": "brownian", "eps": 1.0}, "d": 1},
+     {"shape": "interval", "a": 0, "b": 1}, 'affine drift "A" of shape (1, 2) must be square'),
+    ({"drift": {"name": "parabolic"}, "noise": {"kind": "none"}, "d": 1},
+     {"shape": "interval", "a": 0, "b": 1}, '"drift" \'parabolic\' is 2-dimensional but "d" is 1'),
+    ({"drift": {"name": "parabolic"}, "noise": {"kind": "none"}, "d": 3},
+     {"shape": "box", "lo": [0, 0, 0], "hi": [1, 1, 1]},
+     '"drift" \'parabolic\' is 2-dimensional but "d" is 3'),
+], ids=["unknown-shape", "spec-without-d", "spec-d-2-on-interval", "velocity-of-2-in-d-1",
+        "A-not-square", "parabolic-in-d-1", "parabolic-in-d-3"])
 def test_regularity_scan_bad_domain_or_spec_is_config_error(tmp_path, capsys, spec, domain,
                                                             match):
     cfg = {"experiment": "regularity-scan", "params": {"spec": spec, "domain": domain},
@@ -324,8 +337,9 @@ def _main_on(tmp_path, cfg):
      "windows=[] must hold one or more probe windows"),
     ("fractional-hjb", {"nt": "x", "nx": 1}, "params.nt='x' must be an integer >= 1"),
     ("fractional-hjb", [1, 2], "params=[1, 2] must be a JSON object"),
+    ("viscosity-check", {"target": "v-eps", "eps": 0}, "params.eps=0.0 must be a finite number > 0"),
 ], ids=["witness-zero-discount", "hjb-zero-discount", "grid-off-unit-interval",
-        "no-windows", "string-nt", "params-list"])
+        "no-windows", "string-nt", "params-list", "v-eps-at-eps-0"])
 def test_bad_params_are_config_errors(tmp_path, capsys, experiment, params, match):
     cfg = {"experiment": experiment, "params": params, "mc": {"n": 10, "h": 1e-3, "seed": 1},
            "output": {"path": "a.out"}}

@@ -398,13 +398,16 @@ def test_bridged_blocked_discounted_exit_matches_closed_form():
     (Interval(0, 1), [0.0], [[-1.0]]), (Interval(0, 1), [1.0], [[-1.0]]),
     (Box([0.0, 0.0], [1.0, 0.8]), [0.0, 0.8], -np.eye(2)),
 ], ids=["lower-face", "upper-face", "box-corner"])
-def test_bridged_blocked_start_on_a_face_exits_at_once(domain, x0, A, stop):
+def test_bridged_blocked_start_on_a_face_exits_at_once(domain, x0, A, stop, monkeypatch):
     spec = ProcessSpec(AffineDrift(A, np.full(domain.d, 0.5)), BrownianNoise(1.0), domain.d)
+    drawn = []
+    monkeypatch.setattr(engine, "_run_chunk", lambda *a, **k: drawn.append(a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = run_batch(spec, domain, x0, 1e-3, 5.0, 50, 3, lam=1.0,
                         cost_fn=SpatialCost(Flat(2.0)), stop=stop)
-    for f in ("zeta", "zeta_hat", "cost"):
+    assert not drawn
+    for f in ("zeta", "zeta_hat", "steps", "cost"):
         np.testing.assert_array_equal(getattr(res, f), 0, err_msg=f)
     np.testing.assert_array_equal(res.point, np.tile(x0, (50, 1)))
     np.testing.assert_array_equal(res.point_hat, np.tile(x0, (50, 1)))
@@ -819,8 +822,8 @@ def test_shared_noise_lid_landings_are_the_start_offset_apart():
 
 
 def test_several_starts_on_the_dyadic_route_match_runs_per_start(monkeypatch):
-    # dyadic step sizes differ per row, so a chunk runs its starts one after
-    # the other; each start keeps its law: mean exit times within 4 sigma
+    # a chunk's starts are rows of one dyadic batch, one call per chunk; each
+    # start keeps its law: mean exit times within 4 sigma
     starts, n = [0.2, 0.5, 0.8], 4000
     calls = []
 
@@ -832,7 +835,8 @@ def test_several_starts_on_the_dyadic_route_match_runs_per_start(monkeypatch):
     monkeypatch.setattr(engine, "_run_dyadic", counting_dyadic)
     shared = run_batch(SPEC_BROWN, Interval(0, 1), [[x] for x in starts], 1e-3, 20.0, n, 5)
     chunks = -(-n // (CHUNK_SIZE // len(starts)))
-    assert len(calls) == chunks * len(starts) and chunks > 1
+    assert len(calls) == chunks and chunks > 1
+    assert all(len(rows) == len(starts) for rows in calls)
     zeta = shared.zeta.reshape(n, len(starts))
     for s, x in enumerate(starts):
         alone = run_batch(SPEC_BROWN, Interval(0, 1), [x], 1e-3, 20.0, n, 50 + s).zeta

@@ -189,3 +189,9 @@ class TestNonstationaryGrid:
             assert abs(g.mean - p.mean) <= 4 * math.hypot(g.std_error, p.std_error), (t, x)
         for g in grid[3:]:  # at t = T and outside: exact zeros
             assert (g.mean, g.std_error) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("route", ["direct", "lifted"])
+    def test_no_points_is_an_invalid_start(self, route):
+        # as run_batch with no starts
+        with pytest.raises(InvalidStart, match="no start"):
+            estimate_v_nonstationary_grid(self.prob, self.spec, [], 1e-3, 10, 1, route=route)
