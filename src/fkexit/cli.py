@@ -155,7 +155,11 @@ def run_path_counterexamples(params, mc, workers):
     w2 = linear_path([0, 1, 6], [[1], [1], [1]], jumps={1: [0.0]})
     rows.append(f"drop-then-flat,tau,{_FMT(exit_time(w2, B, 'open-hit'))}")
     rows.append(f"drop-then-flat,tau_left,{_FMT(exit_time_left(w2, B))}")
-    for n in params.get("sequence", [1, 2, 4, 8, 16, 32]):
+    sequence = params.get("sequence", [1, 2, 4, 8, 16, 32])
+    if not all(math.isfinite(n) and n > 0 and 1 / n < 3 for n in sequence):
+        raise ConfigError(f"params.sequence={sequence!r} must hold finite numbers n > 1/3, so "
+                          "that each approximant jumps at t = 1/n < 3, e.g. [1, 2, 4]")
+    for n in sequence:
         wn = linear_path([0, 1 / n, 3], [[1 / n], [1 / n], [2 + 1 / n]], jumps={1: [-1 / n]})
         rows.append(f"approximant-{n},zeta,{_FMT(exit_time(wn, O, 'closure-hit'))}")
     w0 = flow_path(ConstantVelocityFlow([0.0], [1.0]))
@@ -192,6 +196,9 @@ def run_attainment_witness(params, mc, workers):
     problem = DirichletProblem(domain, Constant(float(params.get("running_cost", 1.0))),
                                Zero(), lam)
     x0 = require_key(params, "x0", "give a boundary point, e.g. [0.0]")
+    if np.size(x0) != spec.d:
+        raise ConfigError(f'params.x0={x0!r} has {np.size(x0)} coordinates but the spec has '
+                          f'"d": {spec.d}; give x0 {spec.d} coordinates')
     try:
         rep = attainment_witness(problem, spec, x0, mc["h"], mc["n"], mc["seed"],
                                  workers=workers)
@@ -238,7 +245,11 @@ def run_viscosity_check(params, mc, workers):
     target = params.get("target", "v0")
     eps = float(params.get("eps", 1.0))
     problem = DirichletProblem(Interval(0, 1), Constant(1.0), Zero(), 1.0)
-    xs = np.linspace(0, 1, int(params.get("grid_nodes", 10001)))
+    grid_nodes = int(params.get("grid_nodes", 10001))
+    if grid_nodes < 2:
+        raise ConfigError(f"params.grid_nodes={grid_nodes} must be an integer >= 2, so that "
+                          "the grid spans [0, 1], e.g. 10001")
+    xs = np.linspace(0, 1, grid_nodes)
     if target == "v0":
         spec = ProcessSpec(ConstantDrift([1.0]), NoNoise(), 1)
         u = GridFunction([xs], closed_form_v0(xs), Interval(0, 1), Zero())

@@ -10,8 +10,6 @@ complement.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +34,6 @@ class ExitRecord:
     truncated: bool
     steps: int
     horizon: float
-
-    def discount_bound(self, lam):
-        """Bound on the discount weight a truncated path could still carry."""
-        return math.exp(-lam * self.horizon)
 
 
 def _closure_start(domain, x0):
@@ -104,17 +98,3 @@ def exit_point_avoidance(spec: ProcessSpec, domain: Domain, x0, region: Domain,
     if ok.any():
         hits[ok] = region.contains(res.point[ok], "closure")
     return _proportion(hits, seed, res.truncated)
-
-
-def records_to_csv(records, fileobj):
-    """Stream exit records as audit rows."""
-    writer = csv.writer(fileobj)
-    d = len(records[0].exit_point) if records else 0
-    writer.writerow(["zeta", "zeta_hat", "via_jump", "truncated", "steps"]
-                    + [f"exit_{i}" for i in range(d)]
-                    + [f"exit_hat_{i}" for i in range(d)])
-    for r in records:
-        writer.writerow([repr(r.zeta), repr(r.zeta_hat), int(r.via_jump), int(r.truncated),
-                         r.steps]
-                        + [repr(float(v)) for v in np.atleast_1d(r.exit_point)]
-                        + [repr(float(v)) for v in np.atleast_1d(r.exit_point_hat)])

@@ -276,7 +276,7 @@ def attainment_witness(problem: DirichletProblem, spec: ProcessSpec, x0, h, n, r
 
 
 def evaluate_grid(problem, spec, points, h, n, rng, horizon=None, workers=1):
-    """estimate_v over a list of points; rows of (coords, mean, se, n, truncated)."""
+    """estimate_v over a list of points; a list of (coords, MCEstimate) pairs."""
     seed = effective_seed(rng)
     rows = []
     for i, x in enumerate(points):

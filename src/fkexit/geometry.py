@@ -504,17 +504,6 @@ def parabolic_curve(n):
     return np.stack([x1, x1**2], axis=1)
 
 
-def domain_to_config(domain: Domain) -> dict:
-    """JSON-serializable description, inverse of :func:`domain_from_config`."""
-    if isinstance(domain, Box):
-        return {"shape": "box", "lo": domain.lo.tolist(), "hi": domain.hi.tolist()}
-    if isinstance(domain, Ball):
-        return {"shape": "ball", "center": domain.center.tolist(), "radius": domain.radius}
-    if isinstance(domain, Cylinder):
-        return {"shape": "cylinder", "T": domain.T, "base": domain_to_config(domain.base)}
-    raise ValueError(f"{type(domain).__name__} is not serializable")
-
-
 def domain_from_config(cfg: dict) -> Domain:
     """Domain of shape ``cfg["shape"]``; ConfigError for an unknown shape or a missing key."""
     shape = cfg.get("shape")

@@ -72,9 +72,6 @@ class DriftField:
         """Closed-form integral curve from x0, if one is known."""
         return None
 
-    def to_config(self):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ConstantDrift(DriftField):
@@ -96,9 +93,6 @@ class ConstantDrift(DriftField):
 
     def flow_from(self, x0):
         return ConstantVelocityFlow(x0, self.velocity)
-
-    def to_config(self):
-        return {"name": "constant", "velocity": self.velocity.tolist()}
 
 
 def ZeroDrift(d) -> ConstantDrift:
@@ -127,9 +121,6 @@ class AffineDrift(DriftField):
         x = np.asarray(x, float)
         return x @ self.A.T + self.c
 
-    def to_config(self):
-        return {"name": "affine", "A": self.A.tolist(), "c": self.c.tolist()}
-
 
 @dataclass(frozen=True)
 class ParabolicDrift(DriftField):
@@ -146,9 +137,6 @@ class ParabolicDrift(DriftField):
 
     def flow_from(self, x0):
         return ParabolicFlow(x0)
-
-    def to_config(self):
-        return {"name": "parabolic"}
 
 
 @dataclass(frozen=True)
@@ -167,9 +155,6 @@ class TimeAugmentedDrift(DriftField):
         out[..., 0] = 1.0
         out[..., 1:] = self.base(y[..., 1:])
         return out
-
-    def to_config(self):
-        return {"name": "time-augmented", "base": self.base.to_config()}
 
 
 def drift_from_config(cfg: dict) -> DriftField:
@@ -199,8 +184,7 @@ def drift_from_config(cfg: dict) -> DriftField:
 
 @dataclass(frozen=True)
 class NoNoise:
-    def to_config(self):
-        return {"kind": "none"}
+    """No noise: the process follows its drift."""
 
 
 @dataclass(frozen=True)
@@ -210,9 +194,6 @@ class BrownianNoise:
     def __post_init__(self):
         if not (math.isfinite(self.eps) and self.eps >= 0):
             raise ConfigError(f"Brownian eps={self.eps} must be a finite number >= 0, e.g. 1.0")
-
-    def to_config(self):
-        return {"kind": "brownian", "eps": self.eps}
 
 
 @dataclass(frozen=True)
@@ -226,9 +207,6 @@ class StableNoise:
                               "1.5; the Brownian case alpha = 2 is BrownianNoise")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ConfigError(f"stable sigma={self.sigma} must be a finite number >= 0, e.g. 1.0")
-
-    def to_config(self):
-        return {"kind": "stable", "alpha": self.alpha, "sigma": self.sigma}
 
 
 def noise_from_config(cfg: dict):
@@ -275,14 +253,6 @@ class ProcessSpec:
         if not self.is_deterministic:
             return None
         return self.drift.flow_from(np.atleast_1d(np.asarray(x0, float)))
-
-    def to_config(self):
-        return {
-            "drift": self.drift.to_config(),
-            "noise": self.noise.to_config(),
-            "d": self.d,
-            "noise_offset": self.noise_offset,
-        }
 
 
 def spec_from_config(cfg: dict) -> ProcessSpec:

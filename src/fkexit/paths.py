@@ -44,7 +44,6 @@ _TIME_TOL = 1e-12
 class Flow:
     """Closed-form trajectory with polynomial coordinate functions."""
 
-    name = "flow"
     d: int
 
     def eval(self, t):
@@ -60,9 +59,6 @@ class Flow:
     def shifted(self, h) -> "Flow":
         raise NotImplementedError
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ConstantVelocityFlow(Flow):
@@ -70,7 +66,6 @@ class ConstantVelocityFlow(Flow):
 
     x0: np.ndarray
     velocity: np.ndarray
-    name = "constant-velocity"
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
@@ -86,9 +81,6 @@ class ConstantVelocityFlow(Flow):
     def shifted(self, h):
         return ConstantVelocityFlow(self.x0 + h * self.velocity, self.velocity)
 
-    def to_config(self):
-        return {"name": self.name, "x0": self.x0.tolist(), "velocity": self.velocity.tolist()}
-
 
 @dataclass(frozen=True)
 class ParabolicFlow(Flow):
@@ -99,7 +91,6 @@ class ParabolicFlow(Flow):
     """
 
     x0: np.ndarray
-    name = "parabolic"
 
     def __post_init__(self):
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
@@ -117,18 +108,6 @@ class ParabolicFlow(Flow):
 
     def shifted(self, h):
         return ParabolicFlow(self.eval(h))
-
-    def to_config(self):
-        return {"name": self.name, "x0": self.x0.tolist()}
-
-
-def flow_from_config(cfg: dict) -> Flow:
-    name = cfg.get("name")
-    if name == "constant-velocity":
-        return ConstantVelocityFlow(np.asarray(cfg["x0"], float), np.asarray(cfg["velocity"], float))
-    if name == "parabolic":
-        return ParabolicFlow(np.asarray(cfg["x0"], float))
-    raise ValueError(f"unknown flow {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -428,27 +407,3 @@ def shift(path: CadlagPath, h) -> CadlagPath:
         return CadlagPath("step", new_times, new_points)
     return CadlagPath("linear", new_times, new_points, new_jumps)
 
-
-# ---------------------------------------------------------------------------
-# JSON golden-file shape.
-
-
-def path_to_json(path: CadlagPath) -> dict:
-    """Serializable shape {kind, times, points, jumps[, flow]}."""
-    doc = {
-        "kind": path.kind,
-        "times": path.times.tolist(),
-        "points": path.points.tolist(),
-        "jumps": [{"index": k, "pre": v.tolist()} for k, v in sorted(path.jumps.items())],
-    }
-    if path.kind == "flow":
-        doc["flow"] = path.flow.to_config()
-    return doc
-
-
-def path_from_json(doc: dict) -> CadlagPath:
-    kind = doc["kind"]
-    if kind == "flow":
-        return flow_path(flow_from_config(doc["flow"]))
-    jumps = {int(j["index"]): np.asarray(j["pre"], float) for j in doc.get("jumps", [])}
-    return CadlagPath(kind, np.asarray(doc["times"], float), np.asarray(doc["points"], float), jumps)

@@ -675,6 +675,8 @@ def check_viscosity_point(u, problem, spec, x, mode="generalized", g_fn=None, to
     if not sides or not all(side in VISCOSITY_SIDES for side in sides):
         raise ConfigError(f"sides={sides!r} must be a non-empty collection of "
                           f"{list(VISCOSITY_SIDES)}, e.g. ('sub', 'super')")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tol={tol!r} must be a finite number >= 0, e.g. 1e-3")
     x = np.atleast_1d(np.asarray(x, float))
     domain = problem.domain
     if not domain.contains(x, "closure"):  # also a point with a NaN coordinate

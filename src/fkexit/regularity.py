@@ -66,8 +66,9 @@ def probe_regularity(spec: ProcessSpec, domain: Domain, x, windows=DEFAULT_WINDO
     """
     x = np.atleast_1d(np.asarray(x, float))
     windows = sorted(windows, reverse=True)
-    if not windows:
-        raise ConfigError("windows=[] must hold one or more probe windows, e.g. [0.1, 0.01]")
+    if not (windows and np.isfinite(windows).all() and windows[-1] > 0):
+        raise ConfigError(f"windows={windows!r} must hold one or more probe windows, each a "
+                          "finite number > 0, e.g. [0.1, 0.01]")
     if h is None:
         h = windows[-1] / 100.0
     if h > windows[-1] / 10.0:

@@ -338,8 +338,21 @@ def _main_on(tmp_path, cfg):
     ("fractional-hjb", {"nt": "x", "nx": 1}, "params.nt='x' must be an integer >= 1"),
     ("fractional-hjb", [1, 2], "params=[1, 2] must be a JSON object"),
     ("viscosity-check", {"target": "v-eps", "eps": 0}, "params.eps=0.0 must be a finite number > 0"),
+    ("path-counterexamples", {"sequence": [0]}, "params.sequence=[0] must hold finite numbers"),
+    ("path-counterexamples", {"sequence": [-2]}, "params.sequence=[-2] must hold finite numbers"),
+    ("regularity-scan", {"spec": BROWN_1D, "domain": UNIT, "windows": [-0.1]},
+     "windows=[-0.1] must hold one or more probe windows, each a finite number > 0"),
+    ("regularity-scan", {"spec": BROWN_1D, "domain": UNIT, "windows": [0]},
+     "windows=[0] must hold one or more probe windows, each a finite number > 0"),
+    ("viscosity-check", {"grid_nodes": 1}, "params.grid_nodes=1 must be an integer >= 2"),
+    ("viscosity-check", {"tol": -1}, "tol=-1.0 must be a finite number >= 0"),
+    ("viscosity-check", {"tol": math.nan}, "tol=nan must be a finite number >= 0"),
+    ("attainment-witness", {"spec": DRIFT_1D, "domain": UNIT, "x0": [0.0, 0.0]},
+     'params.x0=[0.0, 0.0] has 2 coordinates but the spec has "d": 1'),
 ], ids=["witness-zero-discount", "hjb-zero-discount", "grid-off-unit-interval",
-        "no-windows", "string-nt", "params-list", "v-eps-at-eps-0"])
+        "no-windows", "string-nt", "params-list", "v-eps-at-eps-0", "sequence-zero",
+        "sequence-negative", "negative-window", "zero-window", "one-grid-node", "negative-tol",
+        "nan-tol", "witness-x0-not-d"])
 def test_bad_params_are_config_errors(tmp_path, capsys, experiment, params, match):
     cfg = {"experiment": experiment, "params": params, "mc": {"n": 10, "h": 1e-3, "seed": 1},
            "output": {"path": "a.out"}}

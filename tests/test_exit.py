@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -8,8 +7,7 @@ from hypothesis import strategies as st
 
 from fkexit.engine import run_batch, run_single, segment_crossing
 from fkexit.errors import InvalidStart
-from fkexit.exit import (exit_coincidence, exit_point_avoidance, records_to_csv,
-                         sample_exit)
+from fkexit.exit import exit_coincidence, exit_point_avoidance, sample_exit
 from fkexit.geometry import Ball, Box, Cylinder, Interval, parabolic_rect
 from fkexit.levy import (AffineDrift, BrownianNoise, ConstantDrift, NoNoise, ParabolicDrift,
                          ProcessSpec, StableNoise, ZeroDrift, block_steps, lift_time,
@@ -44,7 +42,6 @@ class TestSampleExit:
         spec = ProcessSpec(ConstantDrift([0.0]), NoNoise(), 1)
         rec = sample_exit(spec, Interval(0, 1), [0.5], 1e-3, 2.0, 1)
         assert rec.truncated and rec.zeta == math.inf
-        assert rec.discount_bound(1.0) == pytest.approx(math.exp(-2.0))
 
     def test_jump_fraction_from_ball_center(self):
         res = run_batch(SPEC_BALL, Ball([0, 0], 1.0), [0.0, 0.0], 1e-3, 20.0, 10_000, 123)
@@ -143,15 +140,6 @@ def test_exit_point_avoidance():
     est = exit_point_avoidance(SPEC_DRIFT, Interval(0, 1), [0.0], Interval(-0.5, 0.5),
                                1e-3, 20.0, 50, 5)
     assert est.mean == 0.0
-
-
-def test_records_csv():
-    rec = sample_exit(SPEC_DRIFT, Interval(0, 1), [0.25], 1e-3, 20.0, 1)
-    buf = io.StringIO()
-    records_to_csv([rec], buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0].startswith("zeta,zeta_hat,via_jump")
-    assert lines[1].split(",")[0] == "0.75"
 
 
 def test_segment_crossing_shapes():

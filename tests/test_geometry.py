@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from fkexit.errors import ConfigError, DimensionMismatch, NoConeData
 from fkexit.geometry import (Ball, Box, Cone, Cylinder, Interval, PredicateDomain,
-                             domain_from_config, domain_to_config, parabolic_curve,
-                             parabolic_rect)
+                             domain_from_config, parabolic_curve, parabolic_rect)
 from fkexit.rng import RngStream
 
 
@@ -145,9 +144,13 @@ def test_parabolic_curve_points():
 
 
 def test_config_round_trip():
-    for dom in (Interval(0, 1), Ball([0, 0], 2.0), parabolic_rect(),
-                Cylinder(0.5, Ball([0.0], 1.0))):
-        back = domain_from_config(domain_to_config(dom))
+    unit_ball = {"shape": "ball", "center": [0.0], "radius": 1.0}
+    for cfg, dom in (({"shape": "interval", "a": 0, "b": 1}, Interval(0, 1)),
+                     ({"shape": "ball", "center": [0, 0], "radius": 2.0}, Ball([0, 0], 2.0)),
+                     ({"shape": "parabolic-rect"}, parabolic_rect()),
+                     ({"shape": "cylinder", "T": 0.5, "base": unit_ball},
+                      Cylinder(0.5, Ball([0.0], 1.0)))):
+        back = domain_from_config(cfg)
         assert type(back) is type(dom)
         lo1, hi1 = dom.bounding_box()
         lo2, hi2 = back.bounding_box()

