@@ -71,6 +71,11 @@ def _is_numbers(v):
     return isinstance(v, list) and all(type(x) in (int, float) for x in v)
 
 
+def _is_point(v):
+    coords = v if isinstance(v, list) else [v]
+    return _is_numbers(coords) and all(math.isfinite(x) for x in coords)
+
+
 # what a parameter must be, where the experiments read it as one
 _PARAM_KINDS = {
     **dict.fromkeys(("eps", "discount", "running_cost", "alpha", "sigma", "T", "radius", "tol"),
@@ -78,7 +83,7 @@ _PARAM_KINDS = {
     **dict.fromkeys(("n1", "n2", "n_points", "d", "nt", "nx", "grid_nodes"),
                     ("an integer >= 1", lambda v: type(v) is int and v >= 1)),
     **dict.fromkeys(("grid", "windows", "points", "sequence"), ("a list of numbers", _is_numbers)),
-    "x0": ("a point, e.g. [0.0]", lambda v: type(v) in (int, float) or _is_numbers(v)),
+    "x0": ("a point with finite coordinates, e.g. [0.0]", _is_point),
     **dict.fromkeys(("spec", "domain"), ("a JSON object", lambda v: isinstance(v, dict))),
 }
 

@@ -222,8 +222,9 @@ class _PolyBump(TestFunction):
         """Envelope factor at the rows of y (offsets from the center)."""
         raise NotImplementedError
 
-    def envelope_derivatives(self, y):
-        """(e, grad e, Hessian of e) of the envelope at one offset y."""
+    def envelope_derivatives(self, y, hessian):
+        """(e, grad e, Hessian of e) of the envelope at one offset y; the
+        Hessian is not built, and is None, unless ``hessian`` is true."""
         raise NotImplementedError
 
     def __call__(self, x):
@@ -233,14 +234,14 @@ class _PolyBump(TestFunction):
         out = (self.amplitude + y @ self.lin + (y * y) @ self.quad) * self.envelope(y)
         return float(out[0]) if single else out
 
-    def _factors(self, x):
-        """(P, grad P, e, grad e, Hessian of e) at one point x."""
+    def _factors(self, x, hessian=True):
+        """(P, grad P, e, grad e, Hessian of e or None) at one point x."""
         y = np.asarray(x, float) - self.center
         p = self.amplitude + float(y @ self.lin) + float((y * y) @ self.quad)
-        return (p, self.lin + 2 * self.quad * y, *self.envelope_derivatives(y))
+        return (p, self.lin + 2 * self.quad * y, *self.envelope_derivatives(y, hessian))
 
     def gradient(self, x):
-        p, dp, e, de, _ = self._factors(x)
+        p, dp, e, de, _ = self._factors(x, hessian=False)
         return e * dp + p * de
 
     def hessian(self, x):
@@ -273,10 +274,11 @@ class GaussPolyBump(_PolyBump):
     def envelope(self, y):
         return np.exp(-np.einsum("ij,ij->i", y, y) / (2 * self.width**2))
 
-    def envelope_derivatives(self, y):
+    def envelope_derivatives(self, y, hessian):
         w2 = self.width**2
         g = math.exp(-float(y @ y) / (2 * w2))
-        return g, -g * y / w2, g * (np.outer(y, y) / w2**2 - np.eye(self.d) / w2)
+        d2e = g * (np.outer(y, y) / w2**2 - np.eye(self.d) / w2) if hessian else None
+        return g, -g * y / w2, d2e
 
     def decay_envelope(self, r):
         # the polynomial factor grows; push the bound one width further out
@@ -312,15 +314,17 @@ class CompactPolyBump(_PolyBump):
         beta[inside] = np.exp(1.0 - 1.0 / (1.0 - ss[inside]))
         return beta
 
-    def envelope_derivatives(self, y):
+    def envelope_derivatives(self, y, hessian):
         # beta(s) and its s-derivatives b1, b2, chained through s(y)
         s = float(np.sum((y / self.radius) ** 2))
         if s >= 1.0 - 1e-12:
-            return 0.0, np.zeros(self.d), np.zeros((self.d, self.d))
+            return 0.0, np.zeros(self.d), np.zeros((self.d, self.d)) if hessian else None
         beta = math.exp(1.0 - 1.0 / (1.0 - s))
         b1 = -beta / (1.0 - s) ** 2
-        b2 = beta / (1.0 - s) ** 4 - 2.0 * beta / (1.0 - s) ** 3
         ds = 2.0 * y / self.radius**2
+        if not hessian:
+            return beta, b1 * ds, None
+        b2 = beta / (1.0 - s) ** 4 - 2.0 * beta / (1.0 - s) ** 3
         return beta, b1 * ds, b2 * np.outer(ds, ds) + b1 * np.diag(2.0 / self.radius**2)
 
     def decay_envelope(self, r):
@@ -343,6 +347,9 @@ def kernel_constant(d, alpha):
 _INNER_NODES = 220
 _PANEL_NODES = 48
 _ANGULAR_NODES = 64
+_ANGLES = (np.arange(_ANGULAR_NODES) + 0.5) * (2 * math.pi / _ANGULAR_NODES)
+_DIRECTIONS = {1: (np.array([[1.0], [-1.0]]), 2.0),
+               2: (np.stack([np.cos(_ANGLES), np.sin(_ANGLES)], axis=1), 2.0 * math.pi)}
 
 
 def _gauss_on(a, b, n):
@@ -353,6 +360,8 @@ def _gauss_on(a, b, n):
 def frac_laplacian(phi: TestFunction, x, alpha, outer_radius=64.0, tol=1e-9, return_parts=False):
     """Generator-signed fractional Laplacian -(-Lap)^(alpha/2) phi at x.
 
+    phi is evaluated in one call, on the inner radii and every outer panel's
+    radii joined together, and each part sums its own slice of the values.
     Raises :class:`ConfigError` for an alpha outside (0, 2) or a point with a
     non-finite coordinate, and :class:`CutoffTooTight` when the analytic tail
     bound beyond the outer cutoff exceeds ``tol``.
@@ -363,22 +372,11 @@ def frac_laplacian(phi: TestFunction, x, alpha, outer_radius=64.0, tol=1e-9, ret
     if not np.isfinite(x).all():
         raise ConfigError(f"point x={x.tolist()} must have finite coordinates")
     d = x.size
-    if d == 1:
-        dirs = np.array([[1.0], [-1.0]])
-        sphere_measure = 2.0
-    elif d == 2:
-        ang = (np.arange(_ANGULAR_NODES) + 0.5) * (2 * math.pi / _ANGULAR_NODES)
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        sphere_measure = 2.0 * math.pi
-    else:
+    if d not in _DIRECTIONS:
         raise NotImplementedError("fractional quadrature implemented for d in {1, 2}")
+    dirs, sphere_measure = _DIRECTIONS[d]
     dir_weight = sphere_measure / len(dirs)
     phi_x = float(phi(x.reshape(1, -1))[0])
-
-    def sphere_sum(radii):
-        pts = x[None, None, :] + radii[:, None, None] * dirs[None, :, :]
-        vals = np.asarray(phi(pts.reshape(-1, d)), float).reshape(len(radii), len(dirs))
-        return dir_weight * vals.sum(axis=1)
 
     # inner ball: the +-y (full-sphere) average cancels the gradient term and
     # leaves a second difference ~ tr(H) r^2 / (2d) * |S|.  Below r0 the float
@@ -386,24 +384,35 @@ def frac_laplacian(phi: TestFunction, x, alpha, outer_radius=64.0, tol=1e-9, ret
     # that range is integrated analytically from the Hessian; above r0 the
     # substitution r = u^(2/(2-alpha)) flattens what is left of the endpoint.
     r0 = 1e-3
+    p = 2.0 / (2.0 - alpha)
+    u, w_inner = _gauss_on(r0 ** (1.0 / p), 1.0, _INNER_NODES)
+    r_inner = u**p
+    # outer region: geometric panels [a, min(2a, cutoff)] from radius 1 out,
+    # one row of Gauss nodes each
+    edges = [1.0]
+    while edges[-1] < outer_radius:
+        edges.append(min(2.0 * edges[-1], outer_radius))
+    a, b = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+    r_outer, w_outer = (v.ravel() for v in _gauss_on(a, b, _PANEL_NODES))
+
+    # the sphere sum of phi at every radius, inner radii first, then the panels
+    radii = np.concatenate([r_inner, r_outer])
+    pts = x[None, None, :] + radii[:, None, None] * dirs[None, :, :]
+    vals = np.asarray(phi(pts.reshape(-1, d)), float).reshape(len(radii), len(dirs))
+    sphere_sums = dir_weight * vals.sum(axis=1)
+
     tr_h = float(np.trace(phi.hessian(x)))
     inner = (sphere_measure * tr_h / (2.0 * d)) * r0 ** (2.0 - alpha) / (2.0 - alpha)
-    p = 2.0 / (2.0 - alpha)
-    u, w = _gauss_on(r0 ** (1.0 / p), 1.0, _INNER_NODES)
-    r = u**p
     dr = p * u ** (p - 1.0)
-    second_diff = sphere_sum(r) - sphere_measure * phi_x
-    inner += float(np.sum(w * dr * r ** (-1.0 - alpha) * second_diff))
+    second_diff = sphere_sums[:_INNER_NODES] - sphere_measure * phi_x
+    inner += float(np.sum(w_inner * dr * r_inner ** (-1.0 - alpha) * second_diff))
 
-    # outer region: exact -phi(x) * nu(|y|>1) plus panel quadrature of phi
+    # exact -phi(x) * nu(|y|>1) plus panel quadrature of phi, added panel by panel
     nu_tail_total = sphere_measure / alpha  # int_1^inf r^(-1-alpha) r^(d-1) dr * |S|
     outer = -phi_x * nu_tail_total
-    a = 1.0
-    while a < outer_radius:
-        b = min(2.0 * a, outer_radius)
-        r, w = _gauss_on(a, b, _PANEL_NODES)
-        outer += float(np.sum(w * r ** (d - 1.0) * r ** (-d - alpha) * sphere_sum(r)))
-        a = b
+    terms = w_outer * r_outer ** (d - 1.0) * r_outer ** (-d - alpha) * sphere_sums[_INNER_NODES:]
+    for panel in terms.reshape(-1, _PANEL_NODES).sum(axis=1):
+        outer += float(panel)
     phi_center = getattr(phi, "center", None)
     center_off = float(np.linalg.norm(x - phi_center)) if phi_center is not None else 0.0
     tail_sup = phi.decay_envelope(max(outer_radius - center_off, 0.0))
@@ -610,9 +619,11 @@ def _local_cluster(x, span, d):
 def _admissibility_lattice(u, problem, x):
     """Lattice of the admissibility test and the extended solution's envelopes on it.
 
-    Returns ``(mesh, env_up, env_lo, span)``: the points, the largest and the
-    smallest of u and the boundary data g at each (u inside, g outside, both
-    on the boundary), and the largest side of the domain's bounding box.
+    Returns ``(mesh, env_up, env_lo, span, n_near)``: the points, the
+    largest and the smallest of u and the boundary data g at each (u inside,
+    g outside, both on the boundary), the largest side of the domain's
+    bounding box, and the number of leading rows of ``mesh`` that are the
+    cluster around x.
     """
     domain, d = problem.domain, x.size
     lo, hi = domain.bounding_box()
@@ -623,8 +634,8 @@ def _admissibility_lattice(u, problem, x):
     else:
         per_axis = max(int(_LATTICE_POINTS ** (1.0 / d)), 41)
         axes = [np.linspace(lo[i] - pad, hi[i] + pad, per_axis) for i in range(d)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    mesh = np.vstack([mesh, _local_cluster(x, span, d)])
+    near = _local_cluster(x, span, d)
+    mesh = np.vstack([near, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)])
     inside = domain.contains(mesh, "closure")
     strictly = domain.contains(mesh, "open")
     edge = inside & ~strictly
@@ -634,7 +645,7 @@ def _admissibility_lattice(u, problem, x):
     env_lo = env_up.copy()
     env_up[edge] = np.maximum(u_vals[edge], g_vals[edge])
     env_lo[edge] = np.minimum(u_vals[edge], g_vals[edge])
-    return mesh, env_up, env_lo, span
+    return mesh, env_up, env_lo, span, len(near)
 
 
 def _family_values(template, lins, quads, y):
@@ -708,7 +719,7 @@ def check_viscosity_point(u, problem, spec, x, mode="generalized", g_fn=None, to
             report.notes.append("non-stationary mode off the open cylinder: data check only")
             return report
 
-    mesh, env_up, env_lo, span = _admissibility_lattice(u, problem, x)
+    mesh, env_up, env_lo, span, n_near = _admissibility_lattice(u, problem, x)
     report.notes.append(f"lattice: {len(mesh)} points, pad {_LATTICE_PAD * span:.3g}")
 
     # exact emptiness at the query point itself
@@ -726,15 +737,19 @@ def check_viscosity_point(u, problem, spec, x, mode="generalized", g_fn=None, to
     ceiling = (env_lo + adm_tol)[:, None]
     y = mesh - x
 
-    # one family at a time on the lattice as a (points, candidates) array; a
-    # bump object is built only for an admissible column, in sweep order
+    # one family at a time as a (points, candidates) array, in two stages:
+    # the cluster around x, where admissibility binds and most columns fail,
+    # then the rest of the lattice for the columns that passed there.  A bump
+    # object is built only for an admissible column, in sweep order
     for template, lins, quads in _candidate_families(x, u_x, span, slopes, d):
         k_count = len(lins)
         report.tested_count += k_count
-        vals = _family_values(template, lins, quads, y)
-        above = np.all(vals >= floor, axis=0) if test_sub else np.zeros(k_count, bool)
-        below = np.all(vals <= ceiling, axis=0) if test_super else np.zeros(k_count, bool)
-        del vals  # so that the next family's array is not built beside this one
+        above, below = np.full(k_count, test_sub), np.full(k_count, test_super)
+        for rows in (slice(None, n_near), slice(n_near, None)):
+            cols = np.flatnonzero(above | below)
+            vals = _family_values(template, lins[cols], quads[cols], y[rows])
+            above[cols] &= np.all(vals >= floor[rows], axis=0)
+            below[cols] &= np.all(vals <= ceiling[rows], axis=0)
         for k in np.flatnonzero(above | below):
             phi = replace(template, lin=lins[k], quad=quads[k])
             if above[k]:

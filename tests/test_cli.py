@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -349,10 +350,12 @@ def _main_on(tmp_path, cfg):
     ("viscosity-check", {"tol": math.nan}, "tol=nan must be a finite number >= 0"),
     ("attainment-witness", {"spec": DRIFT_1D, "domain": UNIT, "x0": [0.0, 0.0]},
      'params.x0=[0.0, 0.0] has 2 coordinates but the spec has "d": 1'),
+    ("attainment-witness", {"spec": DRIFT_1D, "domain": UNIT, "x0": [math.nan]},
+     "params.x0=[nan] must be a point with finite coordinates"),
 ], ids=["witness-zero-discount", "hjb-zero-discount", "grid-off-unit-interval",
         "no-windows", "string-nt", "params-list", "v-eps-at-eps-0", "sequence-zero",
         "sequence-negative", "negative-window", "zero-window", "one-grid-node", "negative-tol",
-        "nan-tol", "witness-x0-not-d"])
+        "nan-tol", "witness-x0-not-d", "witness-x0-nan"])
 def test_bad_params_are_config_errors(tmp_path, capsys, experiment, params, match):
     cfg = {"experiment": experiment, "params": params, "mc": {"n": 10, "h": 1e-3, "seed": 1},
            "output": {"path": "a.out"}}
@@ -403,6 +406,26 @@ def test_viscosity_check_v_eps(tmp_path):
     doc = json.loads("".join(l for l in open(path) if not l.startswith("#")))
     assert [r["point"] for r in doc] == [[0.0], [0.5]]
     assert all(r["mode"] == "generalized" and r["violations"] == [] for r in doc)
+
+
+# SHA-256 of the default viscosity-check artifacts (11 points, 10001 grid
+# nodes).  They pin every count, violation and float the checker reports, so
+# a change to pde_oracle that alters a report must update them on purpose
+VISCOSITY_ARTIFACT_SHA256 = {
+    ("v0", "generalized"): "7a2963dc63bc5dc8b794c029934faedddd92f7a9c3a505a4475b1bea2b905317",
+    ("v0", "strong"): "9e17b20106b7d9638152028bca7dcb7508921ea5694520375c81a0306f8646a2",
+    ("v-eps", "generalized"): "0cd17713b4a37fc3221ea6cd3cd6c9f606e7ab155489798343e34f6fbd8ba55c",
+    ("v-eps", "strong"): "9549f2fda382cc3f6b6b91c68521bf758178685a253c6aa728d9aeceb3f20701",
+}
+
+
+@pytest.mark.parametrize("target,mode", list(VISCOSITY_ARTIFACT_SHA256))
+def test_viscosity_check_artifact_bytes_are_pinned(tmp_path, target, mode):
+    cfg = {"experiment": "viscosity-check", "params": {"target": target, "mode": mode},
+           "output": {"path": "v.json"}}
+    with open(run(cfg, out_dir=str(tmp_path)), "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()
+    assert digest == VISCOSITY_ARTIFACT_SHA256[(target, mode)]
 
 
 def test_attainment_witness_degenerate_artifact(tmp_path):

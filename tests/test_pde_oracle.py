@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import reference_bumps
+import reference_quadrature
 
 from fkexit.errors import ConfigError, CutoffTooTight
 from fkexit.feynman_kac import DirichletProblem
@@ -11,11 +12,11 @@ from fkexit.functions import Constant, Zero, gauss_legendre
 from fkexit.geometry import Ball, Cylinder, Interval
 from fkexit.levy import (BrownianNoise, ConstantDrift, NoNoise, ProcessSpec, StableNoise,
                          ZeroDrift, sample_isotropic_stable)
-from fkexit.pde_oracle import (CompactPolyBump, GaussPolyBump, GridFunction,
+from fkexit.pde_oracle import (CompactPolyBump, GaussPolyBump, GridFunction, _TimeSlice,
                                _admissibility_lattice, _candidate_families, _default_slopes,
-                               _family_values, check_viscosity_point, closed_form_v0,
-                               closed_form_v_eps, fd_solve_1d, frac_laplacian, G_value,
-                               generator_apply, hjb_G, kernel_constant, linear_G,
+                               _family_values, _local_cluster, check_viscosity_point,
+                               closed_form_v0, closed_form_v_eps, fd_solve_1d, frac_laplacian,
+                               G_value, generator_apply, hjb_G, kernel_constant, linear_G,
                                parabolic_exit_time,
                                parabolic_value, spectral_frac_laplacian_1d,
                                time_space_generator)
@@ -228,6 +229,29 @@ class TestFracLaplacian:
         phi = GaussPolyBump(np.array(center), 0.5, 1.0)
         assert frac_laplacian(phi, x, 1.5) == frac_laplacian(phi, x, 1.5)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("phi,xs", [
+        (GaussPolyBump(np.array([0.3]), 0.5, 1.0, lin=np.array([-1.5]), quad=np.array([8.0])),
+         [[0.3], [-0.4], [1.7]]),
+        (CompactPolyBump(np.array([0.3]), 0.7, 0.6, lin=np.array([2.0]), quad=np.array([-24.0])),
+         [[0.3], [0.75], [1.2]]),
+        (GaussPolyBump(np.array([0.2, -0.3]), 0.7, 1.3, lin=np.array([0.4, -0.2]),
+                       quad=np.array([0.5, -0.1])), [[0.2, -0.3], [0.9, 0.4]]),
+        (CompactPolyBump(np.array([0.0, 0.5]), np.array([1.0, 1.5]), 0.8,
+                         lin=np.array([-0.3, 0.2]), quad=np.array([0.4, 0.6])),
+         [[0.1, 0.4], [1.2, -0.5]]),
+        (_TimeSlice(GaussPolyBump(np.array([0.4, 0.1]), 0.6, -0.2, lin=np.array([0.3, -1.0]),
+                                  quad=np.array([1.0, -8.0])), 0.3), [[0.1], [-0.6]]),
+    ], ids=["gauss-d1", "compact-d1", "gauss-d2", "compact-d2", "time-slice"])
+    def test_one_call_equals_panel_by_panel_loop(self, phi, xs, alpha):
+        # phi is evaluated once on all radii; the per-panel loop it replaced
+        # gives the same bits, for the default cutoff and one that cuts a panel
+        for x in xs:
+            for outer_radius in (64.0, 20.0):
+                got = frac_laplacian(phi, x, alpha, outer_radius=outer_radius, return_parts=True)
+                ref = reference_quadrature.frac_laplacian(phi, x, alpha, outer_radius)
+                assert got == ref, (x, outer_radius)
+
 
 class TestGaussLegendre:
     @pytest.mark.parametrize("n", [48, 96, 220])
@@ -393,7 +417,7 @@ def per_candidate_sweep(u, problem, spec, x, g_fn=None, tol=1e-3, sides=("sub", 
     """The checker's sweep as one loop over candidates, each on the lattice by its own call."""
     x = np.atleast_1d(np.asarray(x, float))
     g_fn = g_fn or linear_G(problem, spec)
-    mesh, env_up, env_lo, span = _admissibility_lattice(u, problem, x)
+    mesh, env_up, env_lo, span, _ = _admissibility_lattice(u, problem, x)
     u_x = float(u(x))
     g_x = float(np.asarray(problem.boundary_data(x.reshape(1, -1)))[0])
     interior = bool(problem.domain.contains(x, "open"))
@@ -429,6 +453,15 @@ def _grid(values_fn, m):
 HJB_PROB = DirichletProblem(Cylinder(1.0, Ball([0.0], 1.0)), Constant(1.0), Zero(), 1.0)
 HJB_SPEC = ProcessSpec(ZeroDrift(1), StableNoise(1.5, 1.0), 1)
 
+
+def _spiked_cylinder_grid():
+    """-(1 - t)(1 - x^2) on the HJB cylinder, raised to 0.3 at the node (t, x) = (0.8, 0.8)."""
+    ts, xs = np.linspace(0.0, 1.0, 6), np.linspace(-1.0, 1.0, 11)
+    values = -np.outer(1.0 - ts, 1.0 - xs * xs)
+    values[4, 9] = 0.3
+    return GridFunction([ts, xs], values, HJB_PROB.domain, Zero())
+
+
 SWEEP_CASES = {
     **{f"v0-{x}": (lambda: _grid(closed_form_v0, 10001), PROB, SPEC0, [x], {})
        for x in (0.0, 0.3, 0.5, 1.0)},
@@ -441,6 +474,10 @@ SWEEP_CASES = {
                               {"mode": "nonstationary", "g_fn": hjb_G(1.5, gamma=1.0),
                                "sides": ("super",), "tol": 0.25})
        for t, x in ((0.3, -0.3), (0.5, 0.5))},
+    # the spike lies beyond the touch-point cluster around (0.2, -0.5)
+    "hjb-sub-far-spike": (_spiked_cylinder_grid, HJB_PROB, HJB_SPEC, [0.2, -0.5],
+                          {"mode": "nonstationary", "g_fn": hjb_G(1.5, gamma=1.0),
+                           "sides": ("sub",), "tol": 0.25}),
 }
 
 
@@ -486,6 +523,20 @@ class TestCandidateSweep:
                 assert np.array_equal(cols[:, k], ref), k
             else:
                 assert np.max(np.abs(cols[:, k] - ref)) <= 1e-14 * np.max(np.abs(ref)), k
+
+    def test_some_column_passes_the_cluster_and_fails_on_the_lattice(self):
+        # the sweep screens on the leading cluster rows first; in this case the
+        # rest of the lattice rejects some columns that passed there
+        make_u, problem, _, x, _ = SWEEP_CASES["hjb-sub-far-spike"]
+        u, x = make_u(), np.asarray(x, float)
+        mesh, env_up, _, span, n_near = _admissibility_lattice(u, problem, x)
+        assert np.array_equal(mesh[:n_near], _local_cluster(x, span, x.size))
+        near_only = 0
+        for phi in candidate_list(x, float(u(x)), span, _default_slopes(u, x, x.size, span),
+                                  x.size):
+            above = phi(mesh) >= env_up - 1e-8
+            near_only += bool(above[:n_near].all() and not above.all())
+        assert near_only > 0
 
     @pytest.mark.parametrize("case", list(SWEEP_CASES))
     def test_sweep_matches_per_candidate_reference(self, case):
