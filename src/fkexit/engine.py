@@ -174,10 +174,12 @@ def _disc_trapezoid(l0, l1, t0, dt, lam):
 
 
 def _constant_cost(cost_fn):
-    """The value c of a running cost that is constant in time and space, else None."""
-    if isinstance(cost_fn, SpatialCost) and isinstance(cost_fn.fn, Constant):
-        return float(cost_fn.fn.value)
-    return None
+    """The value c of a running cost that is constant in time and space, else None.
+
+    A ``Constant`` counts bare or wrapped in a ``SpatialCost``.
+    """
+    fn = cost_fn.fn if isinstance(cost_fn, SpatialCost) else cost_fn
+    return float(fn.value) if isinstance(fn, Constant) else None
 
 
 def _bridge_faces(spec, domain):

@@ -32,8 +32,11 @@ as a certificate.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -343,13 +346,15 @@ def kernel_constant(d, alpha):
 
 
 # Gauss-Legendre nodes of the inner-ball and outer-panel radial quadratures,
-# and midpoint directions on the circle for d = 2
+# midpoint directions on the circle for d = 2, and the radius below which the
+# inner ball is integrated from the Hessian
 _INNER_NODES = 220
 _PANEL_NODES = 48
 _ANGULAR_NODES = 64
 _ANGLES = (np.arange(_ANGULAR_NODES) + 0.5) * (2 * math.pi / _ANGULAR_NODES)
 _DIRECTIONS = {1: (np.array([[1.0], [-1.0]]), 2.0),
                2: (np.stack([np.cos(_ANGLES), np.sin(_ANGLES)], axis=1), 2.0 * math.pi)}
+_R0 = 1e-3
 
 
 def _gauss_on(a, b, n):
@@ -357,36 +362,29 @@ def _gauss_on(a, b, n):
     return 0.5 * (b - a) * nodes + 0.5 * (a + b), 0.5 * (b - a) * weights
 
 
-def frac_laplacian(phi: TestFunction, x, alpha, outer_radius=64.0, tol=1e-9, return_parts=False):
-    """Generator-signed fractional Laplacian -(-Lap)^(alpha/2) phi at x.
+class _RadialRule(NamedTuple):
+    """The part of ``frac_laplacian`` that does not depend on phi or x."""
 
-    phi is evaluated in one call, on the inner radii and every outer panel's
-    radii joined together, and each part sums its own slice of the values.
-    Raises :class:`ConfigError` for an alpha outside (0, 2) or a point with a
-    non-finite coordinate, and :class:`CutoffTooTight` when the analytic tail
-    bound beyond the outer cutoff exceeds ``tol``.
+    offsets: np.ndarray        # (radii * directions, d), inner radii first, then the panels
+    inner_weights: np.ndarray  # w dr r^(-1-alpha) at the inner radii
+    outer_weights: np.ndarray  # w r^(d-1) r^(-d-alpha) at the panel radii
+    r0_power: float            # r0^(2-alpha)
+    kernel: float              # kernel_constant(d, alpha)
+
+
+@functools.cache
+def _radial_rule(alpha, outer_radius, d):
+    """The radial rule of ``frac_laplacian`` for one (alpha, outer_radius, d).
+
+    Built once per key, on first use, and shared by every later call, so its
+    arrays are read-only.
     """
-    if not 0 < alpha < 2:
-        raise ConfigError(f"alpha={alpha} must lie in (0, 2), e.g. 1.5")
-    x = np.atleast_1d(np.asarray(x, float))
-    if not np.isfinite(x).all():
-        raise ConfigError(f"point x={x.tolist()} must have finite coordinates")
-    d = x.size
-    if d not in _DIRECTIONS:
-        raise NotImplementedError("fractional quadrature implemented for d in {1, 2}")
-    dirs, sphere_measure = _DIRECTIONS[d]
-    dir_weight = sphere_measure / len(dirs)
-    phi_x = float(phi(x.reshape(1, -1))[0])
-
-    # inner ball: the +-y (full-sphere) average cancels the gradient term and
-    # leaves a second difference ~ tr(H) r^2 / (2d) * |S|.  Below r0 the float
-    # difference would be cancellation noise amplified by r^(-1-alpha), so
-    # that range is integrated analytically from the Hessian; above r0 the
-    # substitution r = u^(2/(2-alpha)) flattens what is left of the endpoint.
-    r0 = 1e-3
+    # inner ball: the substitution r = u^(2/(2-alpha)) flattens what is left
+    # of the endpoint singularity above r0
     p = 2.0 / (2.0 - alpha)
-    u, w_inner = _gauss_on(r0 ** (1.0 / p), 1.0, _INNER_NODES)
+    u, w_inner = _gauss_on(_R0 ** (1.0 / p), 1.0, _INNER_NODES)
     r_inner = u**p
+    dr = p * u ** (p - 1.0)
     # outer region: geometric panels [a, min(2a, cutoff)] from radius 1 out,
     # one row of Gauss nodes each
     edges = [1.0]
@@ -394,35 +392,97 @@ def frac_laplacian(phi: TestFunction, x, alpha, outer_radius=64.0, tol=1e-9, ret
         edges.append(min(2.0 * edges[-1], outer_radius))
     a, b = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
     r_outer, w_outer = (v.ravel() for v in _gauss_on(a, b, _PANEL_NODES))
+    radii = np.concatenate([r_inner, r_outer])
+    offsets = (radii[:, None, None] * _DIRECTIONS[d][0][None, :, :]).reshape(-1, d)
+    arrays = (offsets, w_inner * dr * r_inner ** (-1.0 - alpha),
+              w_outer * r_outer ** (d - 1.0) * r_outer ** (-d - alpha))
+    for v in arrays:
+        v.flags.writeable = False
+    return _RadialRule(*arrays, _R0 ** (2.0 - alpha), kernel_constant(d, alpha))
+
+
+def frac_laplacian(phi: TestFunction, x, alpha, outer_radius=64.0, tol=1e-9, return_parts=False):
+    """Generator-signed fractional Laplacian -(-Lap)^(alpha/2) phi at x.
+
+    The offsets, weights and kernel constant come from ``_radial_rule``; phi
+    is evaluated in one call, at x plus every offset, and the inner part and
+    each outer panel sum their own slice of the values.  Raises
+    :class:`ConfigError` for an alpha outside (0, 2), a point with a
+    non-finite coordinate, an ``outer_radius`` that is not finite and > 0 or
+    a ``tol`` that is not finite and >= 0, and :class:`CutoffTooTight` when
+    the analytic tail bound beyond the outer cutoff exceeds ``tol``.
+    """
+    if not 0 < alpha < 2:
+        raise ConfigError(f"alpha={alpha} must lie in (0, 2), e.g. 1.5")
+    if not 0 < outer_radius < math.inf:
+        raise ConfigError(f"outer_radius={outer_radius} must be finite and > 0, e.g. 64.0")
+    if not 0 <= tol < math.inf:
+        raise ConfigError(f"tol={tol} must be finite and >= 0, e.g. 1e-9")
+    x = np.atleast_1d(np.asarray(x, float))
+    if not np.isfinite(x).all():
+        raise ConfigError(f"point x={x.tolist()} must have finite coordinates")
+    d = x.size
+    if d not in _DIRECTIONS:
+        raise NotImplementedError("fractional quadrature implemented for d in {1, 2}")
+    rule = _radial_rule(float(alpha), float(outer_radius), d)
+    dirs, sphere_measure = _DIRECTIONS[d]
+    dir_weight = sphere_measure / len(dirs)
+    phi_x = float(phi(x.reshape(1, -1))[0])
 
     # the sphere sum of phi at every radius, inner radii first, then the panels
-    radii = np.concatenate([r_inner, r_outer])
-    pts = x[None, None, :] + radii[:, None, None] * dirs[None, :, :]
-    vals = np.asarray(phi(pts.reshape(-1, d)), float).reshape(len(radii), len(dirs))
+    vals = np.asarray(phi(x + rule.offsets), float).reshape(-1, len(dirs))
     sphere_sums = dir_weight * vals.sum(axis=1)
 
+    # inner ball: the +-y (full-sphere) average cancels the gradient term and
+    # leaves a second difference ~ tr(H) r^2 / (2d) * |S|.  Below r0 the float
+    # difference would be cancellation noise amplified by r^(-1-alpha), so
+    # that range is integrated analytically from the Hessian.
     tr_h = float(np.trace(phi.hessian(x)))
-    inner = (sphere_measure * tr_h / (2.0 * d)) * r0 ** (2.0 - alpha) / (2.0 - alpha)
-    dr = p * u ** (p - 1.0)
+    inner = (sphere_measure * tr_h / (2.0 * d)) * rule.r0_power / (2.0 - alpha)
     second_diff = sphere_sums[:_INNER_NODES] - sphere_measure * phi_x
-    inner += float(np.sum(w_inner * dr * r_inner ** (-1.0 - alpha) * second_diff))
+    inner += float(np.sum(rule.inner_weights * second_diff))
 
     # exact -phi(x) * nu(|y|>1) plus panel quadrature of phi, added panel by panel
     nu_tail_total = sphere_measure / alpha  # int_1^inf r^(-1-alpha) r^(d-1) dr * |S|
     outer = -phi_x * nu_tail_total
-    terms = w_outer * r_outer ** (d - 1.0) * r_outer ** (-d - alpha) * sphere_sums[_INNER_NODES:]
+    terms = rule.outer_weights * sphere_sums[_INNER_NODES:]
     for panel in terms.reshape(-1, _PANEL_NODES).sum(axis=1):
         outer += float(panel)
     phi_center = getattr(phi, "center", None)
     center_off = float(np.linalg.norm(x - phi_center)) if phi_center is not None else 0.0
     tail_sup = phi.decay_envelope(max(outer_radius - center_off, 0.0))
     tail_bound = tail_sup * sphere_measure * outer_radius ** (-alpha) / alpha
-    cd = kernel_constant(d, alpha)
+    cd = rule.kernel
     if cd * tail_bound > tol:
         raise CutoffTooTight(cd * tail_bound, tol)
     if return_parts:
         return cd * (inner + outer), cd * inner, cd * outer
     return cd * (inner + outer)
+
+
+@functools.cache
+def _spectral_grid(period, n):
+    """The FFT oracle's periodic grid and its real transform's frequencies, read-only."""
+    grid = -period / 2.0 + period * np.arange(n) / n
+    xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=period / n)
+    grid.flags.writeable = False
+    xi.flags.writeable = False
+    return grid, xi
+
+
+def _support_radius(phi, r_max, step):
+    """A radius beyond which phi's decay envelope is exactly 0, within ``step`` of the
+    smallest such radius, or None if the envelope is not 0 at r_max."""
+    if not phi.decay_envelope(r_max) == 0.0:
+        return None
+    lo, hi = 0.0, r_max
+    while hi - lo > step:
+        mid = 0.5 * (lo + hi)
+        if phi.decay_envelope(mid) == 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def spectral_frac_laplacian_1d(phi, xs, alpha, period=400.0, n=2**17):
@@ -431,11 +491,31 @@ def spectral_frac_laplacian_1d(phi, xs, alpha, period=400.0, n=2**17):
     Samples phi on a long periodic grid and applies the symbol -|xi|^alpha.
     Independent of the singular-integral route; accuracy is limited by
     periodization of the operator's algebraic tails.  The samples are real,
-    so a real transform carries the same spectrum in half the work.
+    so a real transform carries the same spectrum in half the work.  The
+    grid and its frequencies are built once per (period, n).  Where phi has
+    a center, it is sampled only within the radius beyond which its decay
+    envelope (a bound on |phi|) is exactly 0, and the rest of the samples
+    are that 0.  Raises :class:`ConfigError` for an alpha outside (0, 2), a
+    ``period`` that is not finite and > 0, or an ``n`` that is not an
+    integer >= 2.
     """
-    grid = -period / 2.0 + period * np.arange(n) / n
-    vals = np.asarray(phi(grid.reshape(-1, 1)), float)
-    xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=period / n)
+    if not 0 < alpha < 2:
+        raise ConfigError(f"alpha={alpha} must lie in (0, 2), e.g. 1.5")
+    if not 0 < period < math.inf:
+        raise ConfigError(f"period={period} must be finite and > 0, e.g. 400.0")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+        raise ConfigError(f"n={n!r} must be an integer >= 2, e.g. 2**17")
+    grid, xi = _spectral_grid(float(period), int(n))
+    lo, hi = 0, n
+    center = getattr(phi, "center", None)
+    if center is not None and np.size(center) == 1:
+        y = grid - np.ravel(center)[0]  # the offsets phi itself computes
+        radius = _support_radius(phi, max(-y[0], y[-1]), period / n)
+        if radius is not None:
+            lo = int(np.searchsorted(y, -radius, side="left"))
+            hi = int(np.searchsorted(y, radius, side="right"))
+    vals = np.zeros(n)
+    vals[lo:hi] = np.asarray(phi(grid[lo:hi].reshape(-1, 1)), float)
     transformed = np.fft.irfft(np.fft.rfft(vals) * (-xi**alpha), n)
     return np.interp(np.asarray(xs, float), grid, transformed)
 

@@ -1,11 +1,15 @@
-"""The fractional-Laplacian quadrature panel by panel, kept as a test reference.
+"""The fractional-Laplacian quadrature and FFT oracle as plain loops, kept as test references.
 
-``fkexit.pde_oracle.frac_laplacian`` evaluates phi once, on the inner radii
-and all outer-panel radii joined together, and then sums each part's slice.
-This is the loop it replaced: the inner ball and each geometric panel
-evaluate phi by their own call, in the same order, so the two must agree
-bit for bit.  The tail-bound check is left out; callers pick functions
-whose tail is far below tolerance.
+``fkexit.pde_oracle.frac_laplacian`` takes its radii, directions and weights
+from a cached rule, evaluates phi once on all of them, and then sums each
+part's slice.  ``frac_laplacian`` here builds everything on every call, and
+the inner ball and each geometric panel evaluate phi by their own call, in
+the same order, so the two must agree bit for bit.  The tail-bound check is
+left out; callers pick functions whose tail is far below tolerance.
+
+``spectral_frac_laplacian_1d`` here builds the grid on every call and
+samples phi on all of it; the package samples phi only where its decay
+envelope is not 0, so the transforms' inputs and outputs are the same bits.
 """
 
 import math
@@ -61,3 +65,12 @@ def frac_laplacian(phi, x, alpha, outer_radius=64.0):
         a = b
     cd = kernel_constant(d, alpha)
     return cd * (inner + outer), cd * inner, cd * outer
+
+
+def spectral_frac_laplacian_1d(phi, xs, alpha, period=400.0, n=2**17):
+    """-(-Lap)^(alpha/2) phi at xs from phi sampled on the whole periodic grid."""
+    grid = -period / 2.0 + period * np.arange(n) / n
+    vals = np.asarray(phi(grid.reshape(-1, 1)), float)
+    xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=period / n)
+    transformed = np.fft.irfft(np.fft.rfft(vals) * (-xi**alpha), n)
+    return np.interp(np.asarray(xs, float), grid, transformed)

@@ -584,6 +584,18 @@ def test_closed_form_cost_stable_cylinder_direct_route():
     assert_same_exits_and_cost(closed, general)
 
 
+@pytest.mark.parametrize("spec,domain,x0,lam", [
+    (SPEC_BROWN, Interval(0, 1), np.linspace(0.1, 0.9, 9)[:, None], 1.0),
+    (SPEC_BROWN_AFFINE, Interval(0, 1), [0.5], 0.0),
+], ids=["dyadic-9-starts", "blocked"])
+def test_bare_constant_cost_equals_wrapped(spec, domain, x0, lam):
+    # a bare Constant is integrated in closed form too, on the same route
+    bare, wrapped = [run_batch(spec, domain, x0, 1e-3, 20.0, 500, 17, lam=lam, cost_fn=fn)
+                     for fn in (Constant(2.5), SpatialCost(Constant(2.5)))]
+    for f in EXIT_FIELDS + ("cost",):
+        assert getattr(bare, f).tobytes() == getattr(wrapped, f).tobytes(), f
+
+
 def test_closed_form_cost_truncated_paths():
     closed, general = [run_batch(SPEC_BROWN_AFFINE, Interval(0, 1), [0.5], 1e-4, 0.05, 1000, 8,
                                  lam=1.0, cost_fn=SpatialCost(fn))

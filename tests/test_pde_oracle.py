@@ -14,7 +14,8 @@ from fkexit.levy import (BrownianNoise, ConstantDrift, NoNoise, ProcessSpec, Sta
                          ZeroDrift, sample_isotropic_stable)
 from fkexit.pde_oracle import (CompactPolyBump, GaussPolyBump, GridFunction, _TimeSlice,
                                _admissibility_lattice, _candidate_families, _default_slopes,
-                               _family_values, _local_cluster, check_viscosity_point,
+                               _family_values, _local_cluster, _radial_rule, _spectral_grid,
+                               check_viscosity_point,
                                closed_form_v0, closed_form_v_eps, fd_solve_1d, frac_laplacian,
                                G_value, generator_apply, hjb_G, kernel_constant, linear_G,
                                parabolic_exit_time,
@@ -229,7 +230,7 @@ class TestFracLaplacian:
         phi = GaussPolyBump(np.array(center), 0.5, 1.0)
         assert frac_laplacian(phi, x, 1.5) == frac_laplacian(phi, x, 1.5)
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.7])
     @pytest.mark.parametrize("phi,xs", [
         (GaussPolyBump(np.array([0.3]), 0.5, 1.0, lin=np.array([-1.5]), quad=np.array([8.0])),
          [[0.3], [-0.4], [1.7]]),
@@ -244,13 +245,117 @@ class TestFracLaplacian:
                                   quad=np.array([1.0, -8.0])), 0.3), [[0.1], [-0.6]]),
     ], ids=["gauss-d1", "compact-d1", "gauss-d2", "compact-d2", "time-slice"])
     def test_one_call_equals_panel_by_panel_loop(self, phi, xs, alpha):
-        # phi is evaluated once on all radii; the per-panel loop it replaced
-        # gives the same bits, for the default cutoff and one that cuts a panel
+        # phi is evaluated once on all radii from a cached rule; the per-panel
+        # loop that builds everything per call gives the same bits, for the
+        # default cutoff and one that cuts a panel (at alpha = 1.7, computing
+        # r0^(2-alpha) / (2-alpha) first would change the compact bumps' bits)
         for x in xs:
             for outer_radius in (64.0, 20.0):
                 got = frac_laplacian(phi, x, alpha, outer_radius=outer_radius, return_parts=True)
                 ref = reference_quadrature.frac_laplacian(phi, x, alpha, outer_radius)
                 assert got == ref, (x, outer_radius)
+
+    @pytest.mark.parametrize("kw", [
+        dict(outer_radius=float("nan")), dict(outer_radius=-4.0), dict(outer_radius=0.0),
+        dict(outer_radius=float("inf")), dict(tol=float("nan")), dict(tol=-1e-9),
+        dict(tol=float("inf")),
+    ], ids=["cutoff-nan", "cutoff-negative", "cutoff-zero", "cutoff-inf", "tol-nan",
+            "tol-negative", "tol-inf"])
+    def test_bad_cutoff_or_tol_is_config_error(self, kw):
+        # each of these used to return a wrong number, nan, or a ZeroDivisionError
+        phi = GaussPolyBump(np.array([0.3]), 0.5)
+        misses = _radial_rule.cache_info().misses
+        with pytest.raises(ConfigError, match="outer_radius|tol"):
+            frac_laplacian(phi, [0.4], 1.5, **kw)
+        assert _radial_rule.cache_info().misses == misses  # rejected before the cache
+
+    def test_rule_is_built_once_per_key(self):
+        # criterion 6's calls build one rule per alpha; a new cutoff or
+        # dimension builds one more, and an equal key given as an int does not
+        _radial_rule.cache_clear()
+        phi = GaussPolyBump(np.array([0.3]), 0.5, 1.0)
+        xs = np.linspace(-1.5, 2.0, 20)
+        for k, alpha in enumerate((0.5, 1.0, 1.5), start=1):
+            for x in xs:
+                frac_laplacian(phi, [x], alpha)
+            assert _radial_rule.cache_info().misses == k
+        frac_laplacian(GaussPolyBump(np.array([0.0]), 1.0, 1.0), [0.7], 1.5)
+        frac_laplacian(GaussPolyBump(np.array([0.0]), 0.5, 1.0), [0.35], 1.5)
+        assert _radial_rule.cache_info().misses == 3
+        frac_laplacian(phi, [0.4], 1.3)
+        assert _radial_rule.cache_info().misses == 4
+        frac_laplacian(phi, [0.4], 1.3, outer_radius=20.0)
+        frac_laplacian(GaussPolyBump(np.zeros(2), 0.7, 1.0), [0.3, 0.4], 1.3)
+        assert _radial_rule.cache_info().misses == 6
+        frac_laplacian(phi, [0.4], 1.3, outer_radius=20)
+        info = _radial_rule.cache_info()
+        # hits: the 19 further points of each alpha, the two scaled bumps, the int cutoff
+        assert (info.misses, info.hits, info.currsize) == (6, 3 * (len(xs) - 1) + 2 + 1, 6)
+
+    def test_cached_rules_are_read_only(self):
+        rule = _radial_rule(1.5, 64.0, 2)
+        assert _radial_rule(1.5, 64.0, 2) is rule
+        arrays = (rule.offsets, rule.inner_weights, rule.outer_weights,
+                  *_spectral_grid(400.0, 2**17))
+        for v in arrays:
+            with pytest.raises(ValueError):
+                v[0] = 0.0
+
+    def test_integer_alpha_is_the_float(self):
+        phi = GaussPolyBump(np.array([0.3]), 0.5, 1.0, lin=np.array([0.4]))
+        parts = []
+        for alpha in (1, 1.0, np.float64(1.0), np.asarray(1.0)):
+            _radial_rule.cache_clear()  # each builds its own rule
+            parts.append(frac_laplacian(phi, [0.4], alpha, return_parts=True))
+        parts.append(frac_laplacian(phi, [0.4], 1, return_parts=True))  # the last one's rule
+        assert all(p == parts[0] for p in parts)
+        xs = np.linspace(-1.5, 2.0, 20)
+        assert (spectral_frac_laplacian_1d(phi, xs, 1).tobytes()
+                == spectral_frac_laplacian_1d(phi, xs, 1.0).tobytes())
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("phi", [
+        GaussPolyBump(np.array([0.3]), 0.5, 1.0),
+        GaussPolyBump(np.array([1.7]), 0.4, 0.6, lin=np.array([2.0]), quad=np.array([-3.0])),
+        GaussPolyBump(np.array([195.0]), 2.0, 1.0, lin=np.array([0.5])),
+        CompactPolyBump(np.array([-0.2]), 0.9, 1.0, lin=np.array([0.5]), quad=np.array([1.0])),
+        lambda x: np.exp(-np.sum(x * x, axis=-1)) * (1.0 + x[:, 0]),
+    ], ids=["gauss-centred", "gauss-tilted-off-centre", "gauss-at-grid-end", "compact",
+            "no-center"])
+    def test_spectral_oracle_equals_full_grid_reference(self, phi, alpha):
+        # phi sampled only where its decay envelope is not 0 gives the bits of
+        # phi sampled on the whole grid
+        xs = np.linspace(-1.5, 2.0, 20)
+        got = spectral_frac_laplacian_1d(phi, xs, alpha)
+        ref = reference_quadrature.spectral_frac_laplacian_1d(phi, xs, alpha)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_spectral_oracle_samples_only_the_bump(self):
+        phi = GaussPolyBump(np.array([0.3]), 0.5, 1.0)
+        sampled = []
+
+        class Recorded:
+            center = phi.center
+            decay_envelope = staticmethod(phi.decay_envelope)
+
+            def __call__(self, x):
+                sampled.append(len(x))
+                return phi(x)
+
+        spectral_frac_laplacian_1d(Recorded(), np.linspace(-1.5, 2.0, 20), 1.5)
+        # phi's envelope underflows to 0 about 19.3 from its center: ~10% of 2^17
+        assert sum(sampled) < 0.1 * 2**17
+
+    @pytest.mark.parametrize("kw", [
+        dict(alpha=0.0), dict(alpha=2.0), dict(alpha=float("nan")),
+        dict(period=float("nan")), dict(period=-400.0), dict(period=0.0),
+        dict(period=float("inf")), dict(n=0), dict(n=1), dict(n=1024.0), dict(n=True),
+    ], ids=["alpha-0", "alpha-2", "alpha-nan", "period-nan", "period-negative", "period-0",
+            "period-inf", "n-0", "n-1", "n-float", "n-bool"])
+    def test_spectral_bad_arguments_are_config_errors(self, kw):
+        phi = GaussPolyBump(np.array([0.3]), 0.5, 1.0)
+        with pytest.raises(ConfigError, match="alpha|period|n="):
+            spectral_frac_laplacian_1d(phi, [0.4], **{"alpha": 1.5, **kw})
 
 
 class TestGaussLegendre:
