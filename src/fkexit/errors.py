@@ -117,11 +117,11 @@ def as_floats(v):
 
 
 def check_inputs(h, n=1):
-    """Reject a step h that is not finite and positive, or a sample size n below 1."""
-    if not (math.isfinite(h) and h > 0):
-        raise InvalidStep(f"step h={h} must be a finite positive number, e.g. 1e-3")
-    if n < 1:
-        raise ConfigError(f"sample size n={n} must be a positive integer")
+    """Reject a step h that is not a finite positive number, or an n that is not an integer >= 1."""
+    if not (_is_real(h) and math.isfinite(h) and h > 0):
+        raise InvalidStep(f"step h={h!r} must be a finite positive number, e.g. 1e-3")
+    if not (isinstance(n, numbers.Integral) and _is_real(n) and n >= 1):
+        raise ConfigError(f"sample size n={n!r} must be a positive integer, e.g. 1000")
 
 
 def check_workers(workers):

@@ -141,6 +141,18 @@ class SphereFace:
         return s, x
 
 
+def face_distances(faces, x):
+    """Signed distances of the (m, d) points x to the flat faces, one row per face.
+
+    Row f is ``faces[f].distance(x)``, bit for bit, written in place.
+    """
+    dist = np.empty((len(faces), len(x)))
+    for row, face in zip(dist, faces):
+        np.subtract(face.value, x[:, face.axis], out=row)
+        row *= face.side
+    return dist
+
+
 def segment_crossing(domain, a, b, mode="open"):
     """(s, x): first face-crossing fraction of the (m, d) segments a -> b and the snapped point.
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import run_batch
-from .errors import ConfigError, NoConeData, StepTooCoarse
+from .errors import ConfigError, NoConeData, StepTooCoarse, as_float
 from .feynman_kac import _proportion
 from .geometry import Domain
 from .levy import ProcessSpec, StableNoise
@@ -65,8 +65,12 @@ def probe_regularity(spec: ProcessSpec, domain: Domain, x, windows=DEFAULT_WINDO
     reported as inconclusive rather than silently assigned.
     """
     x = np.atleast_1d(np.asarray(x, float))
-    windows = sorted(windows, reverse=True)
-    if not (windows and np.isfinite(windows).all() and windows[-1] > 0):
+    try:
+        windows = sorted(windows, reverse=True)
+        ok = windows and all(np.isfinite(as_float(w)) for w in windows) and windows[-1] > 0
+    except TypeError:  # not an iterable of numbers
+        ok = False
+    if not ok:
         raise ConfigError(f"windows={windows!r} must hold one or more probe windows, each a "
                           "finite number > 0, e.g. [0.1, 0.01]")
     if h is None:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 MASK64 = (1 << 64) - 1
 
 
@@ -29,12 +31,12 @@ class RngStream:
 
 
 def as_stream(rng) -> RngStream:
-    """Coerce an int seed or an RngStream to an RngStream."""
+    """Coerce an int seed or an RngStream to an RngStream; ConfigError for anything else."""
     if isinstance(rng, RngStream):
         return rng
-    if isinstance(rng, (int, np.integer)):
+    if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
         return RngStream(int(rng), 0)
-    raise TypeError(f"expected int seed or RngStream, got {type(rng).__name__}")
+    raise ConfigError(f"seed {rng!r} must be an integer or an RngStream, e.g. 7")
 
 
 def effective_seed(rng) -> int:

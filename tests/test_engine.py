@@ -15,7 +15,8 @@ from fkexit import engine, levy
 from fkexit.engine import CHUNK_SIZE, STOP_RULES, run_batch, run_single
 from fkexit.errors import ConfigError, DimensionMismatch, InvalidStart, InvalidStep
 from fkexit.feynman_kac import (EXIT_RULES, ROUTES, DirichletProblem, estimate_discounted_exit,
-                                estimate_v, estimate_v_nonstationary)
+                                estimate_v, estimate_v_nonstationary,
+                                estimate_v_nonstationary_grid)
 from fkexit.functions import Constant, PathSpaceCost, SpatialCost, TimeScaledCost, Zero
 from fkexit.geometry import Ball, Box, Cylinder, Interval
 from fkexit.levy import (AffineDrift, BrownianNoise, ConstantDrift, NoNoise, ProcessSpec,
@@ -79,6 +80,33 @@ def test_empty_sample_raises(n):
         for call in estimate_calls(spec, 1e-3, n):
             with pytest.raises(ValueError, match="positive integer"):
                 call()
+
+
+@pytest.mark.parametrize("n", [2.5, math.nan, True])
+def test_sample_size_not_an_integer_raises(n):
+    for call in [lambda: run_batch(SPEC_BROWN, Interval(0, 1), [0.5], 1e-3, 1.0, n, 1),
+                 lambda: estimate_v_nonstationary_grid(PROB_CYL, SPEC_BROWN, [(0.0, [0.5])],
+                                                       1e-3, n, 1),
+                 *estimate_calls(SPEC_BROWN, 1e-3, n)]:
+        with pytest.raises(ConfigError, match="must be a positive integer, e.g. 1000"):
+            call()
+
+
+def test_bool_step_raises():
+    with pytest.raises(InvalidStep, match="finite positive number, e.g. 1e-3"):
+        run_batch(SPEC_BROWN, Interval(0, 1), [0.5], True, 1.0, 10, 1)
+    for call in estimate_calls(SPEC_BROWN, True, 10):
+        with pytest.raises(InvalidStep, match="finite positive number, e.g. 1e-3"):
+            call()
+
+
+@pytest.mark.parametrize("seed", [1.5, math.nan, "7", None, True])
+def test_seed_not_an_integer_raises(seed):
+    for call in [lambda: run_batch(SPEC_BROWN, Interval(0, 1), [0.5], 1e-3, 1.0, 10, seed),
+                 lambda: estimate_v(PROB01, SPEC_BROWN, [0.5], 1e-3, 10, seed),
+                 lambda: estimate_v(PROB01, SPEC_BROWN, [2.0], 1e-3, 10, seed)]:
+        with pytest.raises(ConfigError, match="must be an integer or an RngStream, e.g. 7"):
+            call()
 
 
 @settings(max_examples=60, deadline=None)
@@ -437,8 +465,8 @@ def test_passage_times_on_the_face_follow_levy_law():
 
 
 def test_dyadic_horizon_beyond_int32_steps():
-    # eps = 1e-3 from the middle: every path runs to the horizon of 3e9 steps,
-    # one dyadic step per binary digit of 3e9, the first of 2^31 of them
+    # eps = 1e-3 from the middle: every path runs to the horizon of 3e9 steps
+    # in one step of all of them, more than 2^31
     spec = ProcessSpec(ZeroDrift(1), BrownianNoise(1e-3), 1)
     res = run_batch(spec, Interval(0, 1), [0.5], 1e-9, 3.0, 20, 5)
     assert res.truncated.all()
@@ -461,13 +489,14 @@ def test_dyadic_step_keeps_every_face_but_one_six_sd_away(n_faces, rows, data, e
                                        min_size=n_faces, max_size=n_faces)))
     speed = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.3, 1.0, 50.0]),
                                         min_size=n_faces, max_size=n_faces)))[:, None]
-    left = np.array(data.draw(st.lists(st.integers(1, 2**40), min_size=rows, max_size=rows)))
+    lefts = st.one_of(st.sampled_from([2**60 - 1, 2**53 + 1]), st.integers(1, 2**62))
+    left = np.array(data.draw(st.lists(lefts, min_size=rows, max_size=rows)))
     ns = engine._dyadic_steps(dist, speed, eps, h, left)
     assert ns.dtype == np.int64
     for r in range(rows):
         n_r = int(ns[r])
         H = n_r * h
-        assert n_r >= 1 and n_r & (n_r - 1) == 0  # a power of two
+        assert n_r >= 1
         assert n_r <= left[r]
         near_cap = (dist[:, r].min() / (3.0 * eps)) ** 2
         allow = [allowance(dist[f, r], speed[f, 0], eps) for f in range(n_faces)]
@@ -475,9 +504,18 @@ def test_dyadic_step_keeps_every_face_but_one_six_sd_away(n_faces, rows, data, e
         kept = all(6.0 * eps * math.sqrt(H) + speed[f, 0] * H <= dist[f, r] * (1 + 1e-9)
                    for f in others)
         assert n_r == 1 or kept or H <= near_cap * (1 + 1e-9)
-        # and the step is the largest such power of two
+        # and one more h-step breaks the rule or passes the steps left
         cap = max(near_cap, sorted(allow)[1])
-        assert 2 * n_r > left[r] or 2 * H > cap * (1 - 1e-9)
+        assert n_r + 1 > left[r] or (n_r + 1) * h > cap * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("left", [2**60 - 1, 2**53 + 1, 2**62 - 1])
+def test_dyadic_step_never_passes_the_steps_left(left):
+    # the rule allows about 2^74 h-steps here; in float64 2^60 - 1 rounds up
+    # to 2^60 and 2^53 + 1 down to 2^53, so only an integer cut lands on left
+    dist, speed = np.array([[0.5], [0.5]]), np.zeros((2, 1))
+    ns = engine._dyadic_steps(dist, speed, 1e-3, 1e-18, np.array([left]))
+    assert ns.dtype == np.int64 and int(ns[0]) == left
 
 
 class CountingGenerator:
@@ -503,6 +541,17 @@ def test_dyadic_draws_few_normals_per_path():
                             0.0, None, "closure", True)
     assert not res.truncated.any()
     assert gen.normals / n < 25.0
+
+
+def test_dyadic_whole_multiples_of_h_draw_fewer_normals():
+    # steps of h 2^j drew 18.1-18.7 normals per path from the middle of (0, 1)
+    # at h = 1e-4; the largest whole multiple of h draws about 14
+    n = 4096
+    gen = CountingGenerator(RngStream(17, 0).generator())
+    res = engine._run_chunk(SPEC_BROWN, Interval(0, 1), np.array([0.5]), 1e-4, 200_000, gen, n,
+                            0.0, None, "closure", True)
+    assert not res.truncated.any()
+    assert gen.normals / n < 16.0
 
 
 @pytest.mark.parametrize("workers", [0, -3, True, 1.5, "2"])

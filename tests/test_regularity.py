@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from fkexit.errors import NoConeData, StepTooCoarse
+from fkexit.errors import ConfigError, NoConeData, StepTooCoarse
 from fkexit.geometry import Ball, Interval, parabolic_rect
 from fkexit.levy import (BrownianNoise, ConstantDrift, NoNoise, ParabolicDrift,
                          ProcessSpec, StableNoise, ZeroDrift)
@@ -43,6 +45,18 @@ class TestProbe:
     def test_step_too_coarse(self):
         with pytest.raises(StepTooCoarse):
             probe_regularity(SPEC_DRIFT, Interval(0, 1), [0.0], windows=(0.01,), h=0.005)
+
+    @pytest.mark.parametrize("n", [2.5, math.nan, True])
+    def test_sample_size_not_an_integer_raises(self, n):
+        with pytest.raises(ConfigError, match="must be a positive integer, e.g. 1000"):
+            probe_regularity(SPEC_BROWN, Interval(0, 1), [0.0], n=n)
+
+    @pytest.mark.parametrize("windows", [["a"], "ab", 0.1, [0.1, None], [0.1, math.nan],
+                                         [0.1, True]])
+    def test_windows_not_numbers_raise(self, windows):
+        with pytest.raises(ConfigError, match="must hold one or more probe windows, each a "
+                                              r"finite number > 0, e.g. \[0.1, 0.01\]"):
+            probe_regularity(SPEC_BROWN, Interval(0, 1), [0.0], windows=windows)
 
 
 class TestConeRules:
