@@ -11,9 +11,10 @@ max(1, CHUNK_SIZE // k) paths and draws from the stream (seed, c), and the k
 starts of a path share its noise (common random numbers).  Each start's rows
 keep the law they have alone; only their correlation across starts is new.
 On the blocked route a block draws the noise once per live path, a path
-being live while any of its starts is; membership, exits, cost and
-bookkeeping stay per row.  The dyadic route's rows share nothing, so it
-advances the chunk's m k rows as one batch.  One start, of shape (d,) or
+being live while any of its starts is, and under a state-independent drift
+sums it once per path too, so a row adds only its own start; membership,
+exits, cost and bookkeeping stay per row.  The dyadic route's rows share
+nothing, so it advances the chunk's m k rows as one batch.  One start, of shape (d,) or
 (1, d), runs exactly the single-start code.
 
 Which starts exit at once is decided in one place, :func:`_run`, for every
@@ -59,11 +60,15 @@ faces one at a time within a step, which neglects a crossing of two faces in
 one step (about 2e-9 per step), the exit law carries no step error.  Every
 other run takes the blocked route.
 
-A running cost that is a named constant (:class:`~fkexit.functions.Constant`
-behind :class:`~fkexit.functions.SpatialCost`) is integrated in closed form,
-c (1 - exp(-lam t)) / lam up to the stop time t, instead of step by step; on
-the blocked route the simulated paths and their random draws are the same
-either way.
+A running cost that is a named constant (:class:`~fkexit.functions.Constant`,
+bare or behind :class:`~fkexit.functions.SpatialCost`) is integrated in
+closed form, c (1 - exp(-lam t)) / lam up to the stop time t, instead of step
+by step.  So is a cost that reads only the clock of a time-lifted spec,
+``TimeScaledCost(Constant(c), mu)``: a row from clock t0 reads t0 + s at
+time s, and its cost is c e^(mu t0) t phi((mu - lam) t), phi(z) =
+expm1(z) / z and phi(0) = 1, the exact integral of what the trapezoid
+approximates to about (mu h)^2 / 12 relative.  On the blocked route the
+simulated paths and their random draws are the same either way.
 
 Deterministic specs short-circuit to a single exact trajectory evaluated with
 the path operators and Gauss quadrature of the running cost.
@@ -80,12 +85,12 @@ import numpy as np
 
 from .errors import (ConfigError, InvalidStart, InvalidStep, check_inputs, check_start,
                      check_workers)
-from .functions import Constant, SpatialCost, gauss_legendre
+from .functions import Constant, SpatialCost, TimeScaledCost, gauss_legendre
 from .geometry import AxisFace, Domain, face_distances, segment_crossing
 from .levy import (BLOCK_STEPS, FIRST_BLOCK_STEPS, BrownianNoise, ProcessSpec, StableNoise,
-                   _velocity, block_steps, euler_block, simulate_path)
+                   TimeAugmentedDrift, _velocity, block_steps, euler_block, simulate_path)
 from .paths import evaluate, exit_time, left_limit
-from .rng import RngStream, effective_seed
+from .rng import RngStream, as_stream, effective_seed
 
 CHUNK_SIZE = 8192
 
@@ -182,6 +187,20 @@ def _constant_cost(cost_fn):
     return float(fn.value) if isinstance(fn, Constant) else None
 
 
+def _clock_cost(cost_fn, spec):
+    """(c, mu) of a running cost c e^(mu t) that reads only the clock t of a lifted spec, else None.
+
+    That is ``TimeScaledCost(Constant(c), mu)``, bare or wrapped in a
+    ``SpatialCost`` (its ``Constant`` too), on a spec whose drift is a
+    ``TimeAugmentedDrift`` and whose clock carries no noise, so the clock of
+    a row from t0 reads t0 + s at time s.
+    """
+    fn = cost_fn.fn if isinstance(cost_fn, SpatialCost) else cost_fn
+    lifted = isinstance(spec.drift, TimeAugmentedDrift) and spec.noise_offset >= 1
+    c = _constant_cost(fn.fn) if lifted and isinstance(fn, TimeScaledCost) else None
+    return None if c is None else (c, float(fn.lam))
+
+
 def _bridge_faces(spec, domain):
     """The faces a run bridges: all, if every one is flat and every axis Brownian; else []."""
     faces = domain.faces() or []
@@ -193,18 +212,27 @@ def _bridge_faces(spec, domain):
 def _run_chunk(spec, domain, starts, h, n_steps, gen, m, lam, cost_fn, stop, bridged):
     """The m k rows, path-major, of a chunk of m paths from (k, d) starts or one (d,) start."""
     starts = np.atleast_2d(starts)
-    c = _constant_cost(cost_fn)
-    if c is not None:
+    c, clock = _constant_cost(cost_fn), _clock_cost(cost_fn, spec)
+    if c is not None or clock is not None:
         cost_fn = None
     faces = _bridge_faces(spec, domain) if bridged else []
     if cost_fn is None and _velocity(spec.drift) is not None and faces:
         res = _run_dyadic(spec, faces, starts, h, n_steps, gen, m)
     else:
         res = _run_blocks(spec, domain, starts, h, n_steps, gen, m, lam, cost_fn, stop, faces)
+    if c is None and clock is None:
+        return res
+    # the exact integral of the cost times exp(-lam s) over [0, t_stop], t_stop
+    # the exit or the horizon
+    t_stop = np.where(res.truncated, res.steps * h, res.zeta)
     if c is not None:
-        # integral of c exp(-lam s) over [0, t_stop], t_stop the exit or the horizon
-        t_stop = np.where(res.truncated, res.steps * h, res.zeta)
         res.cost = c * (-np.expm1(-lam * t_stop)) / lam if lam != 0.0 else c * t_stop
+    else:
+        # c e^(mu t0) t_stop phi((mu - lam) t_stop), phi(z) = expm1(z) / z and phi(0) = 1
+        c, mu = clock
+        z = (mu - lam) * t_stop
+        phi = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
+        res.cost = c * np.exp(mu * np.tile(starts[:, 0], m)) * t_stop * phi
     return res
 
 
@@ -666,10 +694,11 @@ def run_single(spec, domain, x0, h, horizon, stream: RngStream,
                lam=0.0, cost_fn=None, stop="closure"):
     """One trajectory, bit-identical to ``simulate_path`` with the same stream.
 
-    It runs no bridge test, whose draws between blocks would shift the
-    stream, so it never takes the dyadic route either.
+    ``stream`` is an RngStream, or an int seed for the stream (seed, 0).  It
+    runs no bridge test, whose draws between blocks would shift the stream,
+    so it never takes the dyadic route either.
     """
-    return _run(spec, domain, x0, h, horizon, [(stream, 1)], lam, cost_fn, stop,
+    return _run(spec, domain, x0, h, horizon, [(as_stream(stream), 1)], lam, cost_fn, stop,
                 bridged=False, workers=1)
 
 

@@ -180,7 +180,13 @@ def estimate_v_nonstationary(problem: DirichletProblem, spec: ProcessSpec, t, x,
     no discounting; ``route="lifted"`` folds the problem into a stationary one
     with cost exp(lam t) l and discount lam, then unwinds the change of
     variables.  Both target the same value and must agree within Monte Carlo
-    error; keeping them separate is the cross-check.
+    error; keeping them separate is the cross-check.  For a ``Constant`` l
+    both routes integrate their cost exactly (the engine's closed forms
+    c t_stop and c e^(lam t) t_stop), so at one seed they agree to rounding:
+    what they still cross-check is the change of variables, its unwinding
+    and the stop at the lid, and, under independent seeds as the CLI runs
+    them, the sampling.  For any other l each route takes the trapezoid of
+    its own integrand, and their gap holds both quadrature errors as well.
 
     ``truncated_fraction`` reports paths stopped by the terminal lid rather
     than a spatial exit; their contribution is exact (the integral is capped

@@ -15,7 +15,8 @@ positive (alpha/2)-stable variate with Laplace transform exp(-s^(alpha/2)),
 drawn by Kanter's method.  Euler blocks follow the same split: a spec with
 one noisy axis draws its increments by Chambers-Mallows-Stuck, one draw per
 step, and a spec with more draws them by subordination.  A block whose rows
-share their noise draws it once per path and gathers it to the rows.
+share their noise draws it once per path; under a state-independent drift
+it also sums it once per path and gathers the sums to the rows.
 
 Both transforms take sines and cosines of the drawn angle.  numpy's float64
 ``sin`` and ``cos`` are scalar loops (about 12 ns an element) while ``tan``
@@ -409,14 +410,11 @@ def euler_block(spec: ProcessSpec, pos, h, gen, nb, path_of=None):
     increments, then :func:`_build_knots` adds them to each row's start.
     With ``path_of`` given, rows share noise: row i takes the increments of
     drawn path ``path_of[i]``, a non-decreasing index that starts at 0, so
-    ``path_of[-1] + 1`` paths are drawn and gathered to the rows.
+    ``path_of[-1] + 1`` paths are drawn and their knots gathered to the rows.
     """
-    if path_of is None:
-        dw, jump = _draw_noise(spec, len(pos), h, gen, nb)
-    else:
-        dw, jump = _draw_noise(spec, int(path_of[-1]) + 1, h, gen, nb)
-        dw, jump = dw[path_of], jump[path_of]
-    return _build_knots(spec, pos, h, dw), jump
+    n_paths = len(pos) if path_of is None else int(path_of[-1]) + 1
+    dw, jump = _draw_noise(spec, n_paths, h, gen, nb)
+    return _build_knots(spec, pos, h, dw, path_of), (jump if path_of is None else jump[path_of])
 
 
 def _draw_noise(spec, na, h, gen, nb):
@@ -445,13 +443,16 @@ def _draw_noise(spec, na, h, gen, nb):
     return dw, jump
 
 
-def _build_knots(spec, pos, h, dw):
-    """(na, nb + 1, d) knots from the rows of pos and their (na, nb, d - noise_offset) increments.
+def _build_knots(spec, pos, h, dw, path_of=None):
+    """(na, nb + 1, d) knots from the rows of pos and the increments dw of their paths.
 
-    A state-independent drift step is added to every increment and each
-    coordinate's knots are their cumulative sums (a noiseless clock
-    coordinate shares one sum over all rows); any other drift is evaluated
-    at each knot in turn: ``x + (b(x) h + dW)``.
+    dw holds (paths, nb, d - noise_offset) increments; row i takes those of
+    path ``path_of[i]``, or of path i without ``path_of``.  A
+    state-independent drift step is added to every increment and each
+    coordinate's knots are their cumulative sums, taken once per path (for
+    a noiseless clock coordinate, once for all rows) and gathered to the
+    rows before each row's start is added.  Any other drift is evaluated at
+    each knot in turn, on increments gathered first: ``x + (b(x) h + dW)``.
     """
     na, d = pos.shape
     nb = dw.shape[1]
@@ -463,13 +464,16 @@ def _build_knots(spec, pos, h, dw):
         vh = v * h
         for i in range(d):
             if i < off:
-                X[:, 1:, i] = np.cumsum(np.full(nb, 0.0 + vh[i])) + pos[:, i, None]
+                c = np.cumsum(np.full(nb, 0.0 + vh[i]))
             else:
                 c = dw[:, :, i - off] + vh[i]
                 np.cumsum(c, axis=1, out=c)
-                c += pos[:, i, None]
-                X[:, 1:, i] = c
+                if path_of is not None:
+                    c = c[path_of]
+            np.add(c, pos[:, i, None], out=X[:, 1:, i])
     else:
+        if path_of is not None:
+            dw = dw[path_of]
         for j in range(nb):
             step = spec.drift(X[:, j]) * h
             step[:, off:] += dw[:, j]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import run_batch
-from .errors import ConfigError, NoConeData, StepTooCoarse, as_float
+from .errors import ConfigError, NoConeData, StepTooCoarse, as_float, check_inputs
 from .feynman_kac import _proportion
 from .geometry import Domain
 from .levy import ProcessSpec, StableNoise
@@ -75,6 +75,7 @@ def probe_regularity(spec: ProcessSpec, domain: Domain, x, windows=DEFAULT_WINDO
                           "finite number > 0, e.g. [0.1, 0.01]")
     if h is None:
         h = windows[-1] / 100.0
+    check_inputs(h)
     if h > windows[-1] / 10.0:
         raise StepTooCoarse(f"h={h} too coarse for window {windows[-1]}; need h <= window/10")
     seed = effective_seed(rng)

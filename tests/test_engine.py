@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import reference_knots
 import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,8 @@ from fkexit.errors import ConfigError, DimensionMismatch, InvalidStart, InvalidS
 from fkexit.feynman_kac import (EXIT_RULES, ROUTES, DirichletProblem, estimate_discounted_exit,
                                 estimate_v, estimate_v_nonstationary,
                                 estimate_v_nonstationary_grid)
-from fkexit.functions import Constant, PathSpaceCost, SpatialCost, TimeScaledCost, Zero
+from fkexit.functions import (Constant, GaussianBump, PathSpaceCost, SpatialCost, TimeScaledCost,
+                              Zero)
 from fkexit.geometry import Ball, Box, Cylinder, Interval
 from fkexit.levy import (AffineDrift, BrownianNoise, ConstantDrift, NoNoise, ProcessSpec,
                          StableNoise, ZeroDrift, block_steps, lift_time, simulate_path)
@@ -107,6 +109,17 @@ def test_seed_not_an_integer_raises(seed):
                  lambda: estimate_v(PROB01, SPEC_BROWN, [2.0], 1e-3, 10, seed)]:
         with pytest.raises(ConfigError, match="must be an integer or an RngStream, e.g. 7"):
             call()
+
+
+def test_run_single_takes_an_int_seed_as_its_stream():
+    runs = [run_single(SPEC_BALL, Ball([0.0, 0.0], 1.0), [0.1, 0.2], 1e-3, 5.0, stream)
+            for stream in (5, np.int64(5), RngStream(5, 0))]
+    for res in runs[1:]:
+        for f in EXIT_FIELDS + ("cost",):
+            assert getattr(res, f).tobytes() == getattr(runs[0], f).tobytes(), f
+    for bad in ("5", 1.5, None, True):
+        with pytest.raises(ConfigError, match="must be an integer or an RngStream, e.g. 7"):
+            run_single(SPEC_BROWN, Interval(0, 1), [0.5], 1e-3, 1.0, bad)
 
 
 @settings(max_examples=60, deadline=None)
@@ -678,6 +691,68 @@ def test_trapezoid_exact_for_cost_linear_in_time(noise):
 
 
 # ---------------------------------------------------------------------------
+# Closed-form integral of a running cost c e^(mu t) of a lifted spec's clock t.
+
+SPEC_LIFTED_CLOCK = lift_time(ProcessSpec(ZeroDrift(1), StableNoise(1.5, 1.0), 1))
+# starts at three clocks; from t0 < 0.5 some paths outlive the horizon 0.5
+CLOCK_STARTS = [[t, x] for t in (0.0, 0.35, 0.7) for x in (-0.6, 0.1)]
+
+
+def clock_cost_integral(res, starts, c, mu, lam, h):
+    """Integral of c e^(mu (t0 + s)) e^(-lam s) over [0, t_stop], row by row."""
+    t_stop = np.where(res.truncated, res.steps * h, res.zeta)
+    t0 = np.asarray(starts)[np.arange(res.n) % len(starts), 0]
+    if mu == lam:
+        return c * np.exp(mu * t0) * t_stop
+    return np.array([c * math.exp(mu * a) * math.expm1((mu - lam) * t) / (mu - lam)
+                     for a, t in zip(t0, t_stop)])
+
+
+@pytest.mark.parametrize("mu", [1.0, 2.5, 0.0], ids=["mu=lam", "mu!=lam", "mu=0"])
+def test_clock_cost_matches_trapezoid_and_closed_form(mu):
+    # 1500 paths of 6 starts fill two chunks; Flat takes the trapezoid on the
+    # same paths, whose error is about (mu h)^2 / 12 relative
+    lam, h, c, n = 1.0, 1e-3, 2.5, 1500
+    closed, trapezoid = [run_batch(SPEC_LIFTED_CLOCK, Cylinder(1.0, Ball([0.0], 1.0)),
+                                   CLOCK_STARTS, h, 0.5, n, 13, lam=lam,
+                                   cost_fn=TimeScaledCost(fn, mu))
+                         for fn in (Constant(c), Flat(c))]
+    assert n > CHUNK_SIZE // len(CLOCK_STARTS)
+    assert closed.truncated.any() and not closed.truncated.all()
+    for f in EXIT_FIELDS:
+        assert getattr(closed, f).tobytes() == getattr(trapezoid, f).tobytes(), f
+    np.testing.assert_allclose(closed.cost, trapezoid.cost, rtol=1e-6, atol=0.0)
+    exact = clock_cost_integral(closed, CLOCK_STARTS, c, mu, lam, h)
+    np.testing.assert_allclose(closed.cost, exact, rtol=1e-13, atol=0.0)
+
+
+def test_clock_cost_bare_or_wrapped_reads_no_knot(monkeypatch):
+    def refuse(self, y):
+        raise AssertionError("a clock-only cost was evaluated at the knots")
+
+    monkeypatch.setattr(TimeScaledCost, "__call__", refuse)
+    runs = [run_batch(SPEC_LIFTED_CLOCK, Cylinder(1.0, Ball([0.0], 1.0)), CLOCK_STARTS, 1e-3,
+                      1.002, 300, 4, lam=1.0, cost_fn=fn)
+            for fn in (TimeScaledCost(Constant(1.0), 1.0),
+                       SpatialCost(TimeScaledCost(Constant(1.0), 1.0)),
+                       TimeScaledCost(SpatialCost(Constant(1.0)), 1.0))]
+    for res in runs[1:]:
+        for f in EXIT_FIELDS + ("cost",):
+            assert getattr(res, f).tobytes() == getattr(runs[0], f).tobytes(), f
+
+
+def test_time_scaled_constant_on_a_noisy_clock_keeps_the_trapezoid():
+    # with noise on coordinate 0 the cost reads more than the clock, so a
+    # Constant inside it is integrated step by step, as a Flat one is
+    spec = ProcessSpec(levy.TimeAugmentedDrift(ZeroDrift(1)), BrownianNoise(1.0), 2)
+    runs = [run_batch(spec, Box([0.0, -1.0], [1.0, 1.0]), [[0.2, 0.0], [0.5, 0.3]], 1e-3, 20.0,
+                      300, 6, lam=1.0, cost_fn=TimeScaledCost(fn, 1.0))
+            for fn in (Constant(1.0), Flat(1.0))]
+    for f in EXIT_FIELDS + ("cost",):
+        assert getattr(runs[0], f).tobytes() == getattr(runs[1], f).tobytes(), f
+
+
+# ---------------------------------------------------------------------------
 # Sparse bridge scan against the dense scan it replaced.
 
 
@@ -922,3 +997,27 @@ def test_shared_noise_blocks_stay_within_block_elements(monkeypatch):
     for na, nbp in shapes:
         assert (nbp - 1) * na <= max(levy.BLOCK_ELEMENTS, levy.FIRST_BLOCK_STEPS * na)
     assert any(na <= 2048 and nbp > 17 for na, nbp in shapes)
+
+
+# Each case runs rows that share their noise under the engine's knot builder,
+# which sums each drawn path once, and under the gather-first reference.
+@pytest.mark.parametrize("spec,domain,x0,horizon,kw", [
+    (SPEC_LIFTED_STABLE, Cylinder(1.0, Ball([0.0], 1.0)), CLOCK_STARTS, 1.002,
+     dict(lam=1.0, cost_fn=TimeScaledCost(Constant(1.0), 1.0))),
+    (SPEC_LIFTED_STABLE, Cylinder(1.0, Ball([0.0], 1.0)), CLOCK_STARTS, 1.002,
+     dict(lam=1.0, cost_fn=TimeScaledCost(GaussianBump([0.5, 0.0], 0.5), 1.0))),
+    (SPEC_BALL, Ball([0.0, 0.0], 1.0), [[0.1, 0.2], [0.0, 0.0], [-0.5, 0.3]], 20.0,
+     dict(stop="open")),
+    (SPEC_BROWN_2D, Box([0.0, 0.0], [1.0, 1.0]), [[0.2, 0.5], [0.7, 0.3]], 20.0,
+     dict(lam=1.0, cost_fn=SpatialCost(GaussianBump([0.5, 0.5], 0.3)))),
+    (ProcessSpec(AffineDrift([[-0.5]], [0.3]), BrownianNoise(1.0), 1), Interval(-1, 1),
+     [[0.2], [-0.4], [0.5]], 20.0, dict(lam=1.0, cost_fn=SpatialCost(Flat(1.0)))),
+], ids=["lifted-stable-cylinder", "lifted-stable-knot-cost", "stable-ball-2d",
+        "brownian-blocked-cost", "affine-drift"])
+def test_shared_sums_give_the_gather_first_bytes(spec, domain, x0, horizon, kw, monkeypatch):
+    shared = run_batch(spec, domain, x0, 1e-3, horizon, 600, 7, **kw)
+    monkeypatch.setattr(engine, "euler_block", reference_knots.euler_block)
+    gathered = run_batch(spec, domain, x0, 1e-3, horizon, 600, 7, **kw)
+    assert not shared.truncated.all() and shared.n == 600 * len(x0)
+    for f in EXIT_FIELDS + ("cost",):
+        assert getattr(shared, f).tobytes() == getattr(gathered, f).tobytes(), f

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import reference_knots
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -345,3 +346,25 @@ def test_constant_drift_block_is_the_cumulative_sum(spec):
     np.testing.assert_array_equal(X, ref_X)
     np.testing.assert_array_equal(jump, ref_jump)
     assert jump.any() == isinstance(spec.noise, StableNoise)
+
+
+@pytest.mark.parametrize("spec", [
+    lift_time(ProcessSpec(ZeroDrift(1), StableNoise(1.5, 1.0), 1)),
+    ProcessSpec(ZeroDrift(2), StableNoise(1.2, 0.7), 2),
+    ProcessSpec(ConstantDrift([1.0, -0.3]), BrownianNoise(0.5), 2),
+    lift_time(ProcessSpec(ConstantDrift([0.4]), BrownianNoise(1.0), 1)),
+    ProcessSpec(ParabolicDrift(), BrownianNoise(1.0), 2),
+], ids=["lifted-stable", "stable-2d", "brownian-2d", "lifted-brownian", "parabolic"])
+@pytest.mark.parametrize("path_of", [None, [0, 0, 0, 1, 2, 2, 3, 3, 3, 3]],
+                         ids=["own-noise", "shared-noise"])
+def test_euler_block_matches_gather_first_reference(spec, path_of):
+    # a path's cumulative sum is taken once and gathered to its rows: the same
+    # bits as each row summing its own copy, from the same draws
+    pos = np.random.default_rng(1).uniform(-0.5, 0.5, size=(10, spec.d))
+    path_of = None if path_of is None else np.array(path_of)
+    gens = [RngStream(31).generator() for _ in range(2)]
+    X, jump = euler_block(spec, pos, 1e-3, gens[0], 40, path_of)
+    X_ref, jump_ref = reference_knots.euler_block(spec, pos, 1e-3, gens[1], 40, path_of)
+    assert X.tobytes() == X_ref.tobytes()
+    assert jump.tobytes() == jump_ref.tobytes()
+    np.testing.assert_equal(gens[0].bit_generator.state, gens[1].bit_generator.state)

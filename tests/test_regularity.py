@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fkexit.errors import ConfigError, NoConeData, StepTooCoarse
+from fkexit.errors import ConfigError, InvalidStep, NoConeData, StepTooCoarse
 from fkexit.geometry import Ball, Interval, parabolic_rect
 from fkexit.levy import (BrownianNoise, ConstantDrift, NoNoise, ParabolicDrift,
                          ProcessSpec, StableNoise, ZeroDrift)
@@ -57,6 +57,14 @@ class TestProbe:
         with pytest.raises(ConfigError, match="must hold one or more probe windows, each a "
                                               r"finite number > 0, e.g. \[0.1, 0.01\]"):
             probe_regularity(SPEC_BROWN, Interval(0, 1), [0.0], windows=windows)
+
+
+    @pytest.mark.parametrize("h", ["a", True, math.nan, 0.0, [1e-4]])
+    def test_step_not_a_positive_number_raises(self, h):
+        # checked before it is compared with the window: a wide window lets
+        # any number through that comparison
+        with pytest.raises(InvalidStep, match="must be a finite positive number, e.g. 1e-3"):
+            probe_regularity(SPEC_BROWN, Interval(0, 1), [0.0], windows=[100.0], h=h)
 
 
 class TestConeRules:
