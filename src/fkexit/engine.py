@@ -17,8 +17,8 @@ exits, cost and bookkeeping stay per row.  The dyadic route's rows share
 nothing, so it advances the chunk's m k rows as one batch.  One start, of shape (d,) or
 (1, d), runs exactly the single-start code.
 
-Which starts exit at once is decided in one place, :func:`_run`, for every
-route: a start outside the closure, or on a face the run bridges (whose
+Which starts exit at once is decided in one place, :func:`run_batch`, for
+every route: a start outside the closure, or on a face the run bridges (whose
 bridge fires at once from it), exits at time 0 at its own point with
 ``steps`` 0 and draws nothing.
 
@@ -27,16 +27,16 @@ The blocked route advances a chunk in blocks of Euler steps, whose knots
 :func:`~fkexit.levy.block_steps` sets: 16 steps first, doubling per block up
 to a cap that grows as rows exit, so a path that exits at step 1 draws 16
 steps, not 128.  The noisy branch of ``simulate_path`` advances through the
-same schedule for one row, so a single trajectory matches its skeleton knot
-for knot.
+same schedule for one row, so wherever no bridge runs, ``run_batch`` with
+n = 1 and seed s draws its one path as ``simulate_path`` does from the stream
+(s, 0) and matches that skeleton knot for knot.
 Within a step, drift/Brownian segments are treated as linear and their
 boundary crossing is the earliest closed-form crossing over the domain's
 faces (``geometry.segment_crossing``, shared with the path operators; the
 engine keeps no shape geometry); where all faces are flat and every axis is
-Brownian, :func:`run_batch` always runs a Brownian-bridge test that catches
-crossings that both endpoints miss, and takes the time and place of every
-exit from the step's bridge as the dyadic route does (:func:`_face_exits`;
-:func:`run_single` never does, so that it keeps to its skeleton's stream).
+Brownian, every run takes a Brownian-bridge test that catches crossings
+that both endpoints miss, and takes the time and place of every exit from
+the step's bridge as the dyadic route does (:func:`_face_exits`).
 A stable step is refined only at a flat face across a noiseless coordinate
 (a lifted spec's clock), which its drift alone crosses; otherwise a jump is
 the exit itself, and its landing point is the exit point (boundary data
@@ -46,7 +46,7 @@ zeta_hat is that miss, or the exit where no open miss comes before it, under
 either stop.  Paths stopped by the horizon keep their running cost integral
 and are flagged truncated.
 
-Where that bridge test is exact for any step length (a batch run with
+Where that bridge test is exact for any step length (a run with
 Brownian noise on every axis, a state-independent drift, flat faces, and no
 running cost or a constant one), a chunk takes a second route with no
 blocks: each path steps exactly, whole multiples of h at a time
@@ -90,7 +90,7 @@ from .geometry import AxisFace, Domain, face_distances, segment_crossing
 from .levy import (BLOCK_STEPS, FIRST_BLOCK_STEPS, BrownianNoise, ProcessSpec, StableNoise,
                    TimeAugmentedDrift, _velocity, block_steps, euler_block, simulate_path)
 from .paths import evaluate, exit_time, left_limit
-from .rng import RngStream, as_stream, effective_seed
+from .rng import RngStream, effective_seed
 
 CHUNK_SIZE = 8192
 
@@ -209,13 +209,13 @@ def _bridge_faces(spec, domain):
     return faces if brownian and spec.noise_offset == 0 and flat else []
 
 
-def _run_chunk(spec, domain, starts, h, n_steps, gen, m, lam, cost_fn, stop, bridged):
+def _run_chunk(spec, domain, starts, h, n_steps, gen, m, lam, cost_fn, stop):
     """The m k rows, path-major, of a chunk of m paths from (k, d) starts or one (d,) start."""
     starts = np.atleast_2d(starts)
     c, clock = _constant_cost(cost_fn), _clock_cost(cost_fn, spec)
     if c is not None or clock is not None:
         cost_fn = None
-    faces = _bridge_faces(spec, domain) if bridged else []
+    faces = _bridge_faces(spec, domain)
     if cost_fn is None and _velocity(spec.drift) is not None and faces:
         res = _run_dyadic(spec, faces, starts, h, n_steps, gen, m)
     else:
@@ -330,7 +330,10 @@ def _run_blocks(spec, domain, starts, h, n_steps, gen, paths, lam, cost_fn, stop
         na = idx.size
         nb = block_steps(k, na, n_steps - k0, floor)
         # k starts: one draw per live path, gathered to its live rows
-        path_of = np.unique(idx // k_starts, return_inverse=True)[1] if k_starts > 1 else None
+        path_of = None
+        if k_starts > 1:  # idx ascends, so its paths number in order of first row
+            p = idx // k_starts
+            path_of = np.concatenate(([0], np.cumsum(p[1:] != p[:-1])))
         X, jmask = euler_block(spec, pos, h, gen, nb, path_of)
 
         first_open = _first_outside(domain.contains(X[:, 1:], "open"))
@@ -640,23 +643,31 @@ def _check_starts(spec, domain, x0):
     return np.array(starts)
 
 
-def _run(spec, domain, x0, h, horizon, chunks, lam, cost_fn, stop, bridged, workers):
-    """Exits of the chunks, each a (stream, paths) pair, concatenated in chunk order.
+def _chunk_task(spec, domain, starts, h, n_steps, stream, *rest):
+    return _run_chunk(spec, domain, starts, h, n_steps, stream.generator(), *rest)
 
-    ``bridged`` lets each chunk run the bridge test, and with it the dyadic
-    route, wherever :func:`_bridge_faces` finds that test exact.  Each start
-    is taken on its own first.  The one start rule: a start outside the
-    closure, or on a face the run bridges (whose bridge fires at once from
-    it), exits at once on every route, at time 0 and at its own point, with
-    ``steps`` 0 and no draws.  A deterministic spec runs one exact
-    trajectory per start.  The other starts share the chunks.
+
+def run_batch(spec: ProcessSpec, domain: Domain, x0, h, horizon, n, seed,
+              lam=0.0, cost_fn=None, stop="closure", workers=1) -> BatchResult:
+    """n first-exit trajectories from x0 with the fixed chunk/stream contract.
+
+    x0 is one start, of shape (d,), or k starts as a (k, d) array; the result
+    then holds n k rows, path-major, and row p k + s is path p from start s.
+    Chunk c holds paths c P onwards, P = max(1, CHUNK_SIZE // k), and draws
+    from the stream (seed, c); the starts of a path share its noise.  Every
+    chunk runs the bridge test, and with it the dyadic route, wherever
+    :func:`_bridge_faces` finds that test exact.  An RngStream seed runs
+    under its derived seed, as the estimators' ``rng`` does.  Each start is
+    first taken on its own: one that exits at once (the module's one start
+    rule) draws nothing, and a deterministic spec runs one exact trajectory
+    per start.  The other starts share the chunks.
     """
-    n = sum(m for _, m in chunks)
-    check_inputs(h)
+    check_inputs(h, n)
+    seed = effective_seed(seed)
     check_workers(workers)
     check_run(horizon, stop)
     starts = _check_starts(spec, domain, x0)
-    faces = _bridge_faces(spec, domain) if bridged else []
+    faces = _bridge_faces(spec, domain)
     moves = domain.contains(starts, "closure") & (face_distances(faces, starts) > 0.0).all(axis=0)
     groups = []
     if not moves.all():  # no draws
@@ -675,8 +686,10 @@ def _run(spec, domain, x0, h, horizon, chunks, lam, cost_fn, stop, bridged, work
             raise InvalidStep(f"horizon={horizon:g} is {horizon / h:.3g} steps of h={h:g}; "
                               "shorten it")
         n_steps = int(math.ceil(horizon / h - 1e-12))
-        tasks = [(spec, domain, starts[live], h, n_steps, stream, m, lam, cost_fn, stop, bridged)
-                 for stream, m in chunks]
+        per_chunk = max(1, CHUNK_SIZE // len(starts))
+        tasks = [(spec, domain, starts[live], h, n_steps, RngStream(seed, c),
+                  min(per_chunk, n - first), lam, cost_fn, stop)
+                 for c, first in enumerate(range(0, n, per_chunk))]
         if workers > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=workers) as ex:
                 parts = list(ex.map(_chunk_task, *zip(*tasks)))
@@ -684,40 +697,3 @@ def _run(spec, domain, x0, h, horizon, chunks, lam, cost_fn, stop, bridged, work
             parts = [_chunk_task(*t) for t in tasks]
         groups.append((live, functools.reduce(BatchResult.concat, parts)))
     return _merge_starts(groups, len(starts))
-
-
-def _chunk_task(spec, domain, starts, h, n_steps, stream, *rest):
-    return _run_chunk(spec, domain, starts, h, n_steps, stream.generator(), *rest)
-
-
-def run_single(spec, domain, x0, h, horizon, stream: RngStream,
-               lam=0.0, cost_fn=None, stop="closure"):
-    """One trajectory, bit-identical to ``simulate_path`` with the same stream.
-
-    ``stream`` is an RngStream, or an int seed for the stream (seed, 0).  It
-    runs no bridge test, whose draws between blocks would shift the stream,
-    so it never takes the dyadic route either.
-    """
-    return _run(spec, domain, x0, h, horizon, [(as_stream(stream), 1)], lam, cost_fn, stop,
-                bridged=False, workers=1)
-
-
-def run_batch(spec: ProcessSpec, domain: Domain, x0, h, horizon, n, seed,
-              lam=0.0, cost_fn=None, stop="closure", workers=1) -> BatchResult:
-    """n first-exit trajectories from x0 with the fixed chunk/stream contract.
-
-    x0 is one start, of shape (d,), or k starts as a (k, d) array; the result
-    then holds n k rows, path-major, and row p k + s is path p from start s.
-    Chunk c holds paths c P onwards, P = max(1, CHUNK_SIZE // k), and draws
-    from the stream (seed, c); the starts of a path share its noise.  Every
-    chunk runs the bridge test wherever it is exact.  An RngStream seed runs
-    under its derived seed, as the estimators' ``rng`` does.
-    """
-    check_inputs(h, n)
-    seed = effective_seed(seed)
-    k = len(x0) if np.ndim(x0) == 2 else 1
-    per_chunk = max(1, CHUNK_SIZE // max(k, 1))  # k = 0 is left for the entry's check
-    chunks = [(RngStream(seed, c), min(per_chunk, n - start))
-              for c, start in enumerate(range(0, n, per_chunk))]
-    return _run(spec, domain, x0, h, horizon, chunks, lam, cost_fn, stop,
-                bridged=True, workers=workers)

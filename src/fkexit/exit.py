@@ -1,39 +1,23 @@
-"""First-exit sampling and the exit-coincidence estimator.
+"""Estimators that compare the two stopping rules on one batch of exits.
 
-An :class:`ExitRecord` carries both stopping rules side by side: ``zeta`` is
-the first exit from the closed domain, ``zeta_hat`` the first hit of the open
-set's complement.  On every record ``zeta_hat <= zeta``; paths that leave by
-a large jump land strictly outside and the landing point is kept as the exit
-point without refinement, because the boundary data is defined on the whole
-complement.
+Every :func:`~fkexit.engine.run_batch` row carries both rules side by side:
+``zeta`` is the first exit from the closed domain, ``zeta_hat`` the first hit
+of the open set's complement, and ``zeta_hat <= zeta`` on every row.  Paths
+that leave by a large jump land strictly outside, and the landing point is
+kept as the exit point without refinement, because the boundary data is
+defined on the whole complement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .engine import run_batch, run_single
+from .engine import run_batch
 from .errors import InvalidStart
 from .feynman_kac import MCEstimate, _proportion
 from .geometry import Domain
 from .levy import ProcessSpec
-from .rng import as_stream, effective_seed
-
-
-@dataclass(frozen=True)
-class ExitRecord:
-    """One trajectory's exit data under both stopping rules."""
-
-    zeta: float
-    zeta_hat: float
-    exit_point: np.ndarray
-    exit_point_hat: np.ndarray
-    via_jump: bool
-    truncated: bool
-    steps: int
-    horizon: float
+from .rng import effective_seed
 
 
 def _closure_start(domain, x0):
@@ -42,27 +26,6 @@ def _closure_start(domain, x0):
     if not domain.contains(x0, "closure"):
         raise InvalidStart(f"x0={x0.tolist()} is outside the closed domain")
     return x0
-
-
-def sample_exit(spec: ProcessSpec, domain: Domain, x0, h, horizon, rng) -> ExitRecord:
-    """Simulate one trajectory from x0 in the closed domain until it exits.
-
-    Deterministic specs are evaluated on their exact flow, so the exit data
-    carries no step bias; noisy specs step with h and resolve drift/Brownian
-    boundary crossings in closed form within the straddling step.
-    """
-    x0 = _closure_start(domain, x0)
-    res = run_single(spec, domain, x0, h, horizon, as_stream(rng))
-    return ExitRecord(
-        zeta=float(res.zeta[0]),
-        zeta_hat=float(res.zeta_hat[0]),
-        exit_point=res.point[0],
-        exit_point_hat=res.point_hat[0],
-        via_jump=bool(res.via_jump[0]),
-        truncated=bool(res.truncated[0]),
-        steps=int(res.steps[0]),
-        horizon=float(horizon),
-    )
 
 
 def exit_coincidence(spec: ProcessSpec, domain: Domain, x0, h, horizon, n, rng,

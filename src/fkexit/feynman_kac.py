@@ -280,13 +280,3 @@ def attainment_witness(problem: DirichletProblem, spec: ProcessSpec, x0, h, n, r
                    horizon=horizon, workers=workers)
     return AttainmentWitness(x0, p, float(scale), v, bool(v.mean < scale))
 
-
-def evaluate_grid(problem, spec, points, h, n, rng, horizon=None, workers=1):
-    """estimate_v over a list of points; a list of (coords, MCEstimate) pairs."""
-    seed = effective_seed(rng)
-    rows = []
-    for i, x in enumerate(points):
-        est = estimate_v(problem, spec, x, h, n, derive_seed(seed, "grid", i),
-                         horizon=horizon, workers=workers)
-        rows.append((np.atleast_1d(np.asarray(x, float)), est))
-    return rows

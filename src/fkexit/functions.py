@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 class NamedFunction:
     """Function on R^d with an optional global sup bound."""
@@ -60,8 +62,8 @@ class GaussianBump(NamedFunction):
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, float)))
-        if self.width <= 0:
-            raise ValueError("width must be positive")
+        if not (np.isfinite(self.width) and self.width > 0):
+            raise ConfigError(f"width={self.width!r} must be a finite number > 0, e.g. 0.2")
 
     def __call__(self, x):
         x = np.asarray(x, float)

@@ -349,7 +349,7 @@ def sample_one_sided_stable(alpha, rng, size=None):
     Kanter's representation from a uniform angle on (0, pi) and an exponential.
     """
     if not 0 < alpha < 1:
-        raise ValueError("one-sided stable index must lie in (0, 1)")
+        raise ConfigError(f"one-sided stable index alpha={alpha!r} must lie in (0, 1), e.g. 0.5")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     n = 1 if size is None else int(size)
     theta = np.clip(gen.uniform(0.0, np.pi, size=n), 1e-12, np.pi - 1e-12)

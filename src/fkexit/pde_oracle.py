@@ -60,13 +60,20 @@ def _exponents(eps):
     return lam1, lam2
 
 
+def _unit_interval_points(x):
+    """x as a float array; a ConfigError names a point off [0, 1] (NaN included)."""
+    x = np.asarray(x, float)
+    off = x[~((x >= 0) & (x <= 1))]
+    if off.size:
+        raise ConfigError(f"x={float(off[0])!r} lies off [0, 1]; every x must lie in it, e.g. 0.5")
+    return x
+
+
 def closed_form_v_eps(eps, x):
     """Solution of -u' - (eps^2/2) u'' + u - 1 = 0 on (0,1), u(0) = u(1) = 0."""
-    if eps <= 0:
-        raise ValueError("eps must be positive; use closed_form_v0 for the limit")
-    x = np.asarray(x, float)
-    if np.any((x < 0) | (x > 1)):
-        raise ValueError("x must lie in [0, 1]")
+    if not eps > 0:
+        raise ConfigError(f"eps={eps!r} must be > 0, e.g. 0.1; closed_form_v0 is eps -> 0")
+    x = _unit_interval_points(x)
     lam1, lam2 = _exponents(eps)
     num = (1 - math.exp(lam1)) * np.exp(lam2 * x) + (math.exp(lam2) - 1) * np.exp(lam1 * x)
     return 1.0 + num / (math.exp(lam1) - math.exp(lam2))
@@ -74,9 +81,7 @@ def closed_form_v_eps(eps, x):
 
 def closed_form_v0(x):
     """Zero-noise limit 1 - exp(-(1-x)); nonzero at x = 0."""
-    x = np.asarray(x, float)
-    if np.any((x < 0) | (x > 1)):
-        raise ValueError("x must lie in [0, 1]")
+    x = _unit_interval_points(x)
     return 1.0 - np.exp(-(1.0 - x))
 
 
@@ -90,7 +95,8 @@ def parabolic_exit_time(x):
     x = np.atleast_1d(np.asarray(x, float))
     x1, x2 = float(x[0]), float(x[1])
     if not parabolic_rect().contains([x1, x2], "closure"):
-        raise ValueError("point outside the closed rectangle")
+        raise ConfigError(f"x={[x1, x2]!r} lies outside the closed rectangle [-1, 1] x [0, 1]; "
+                          "pass a point in it, e.g. [0.5, 0.5]")
     if x2 >= x1 * x1:
         return -x1 + math.sqrt(1.0 - x2 + x1 * x1)
     if x1 > 0:
@@ -144,10 +150,10 @@ def fd_solve_1d(eps, m) -> GridFunction:
     Dirichlet rows pin u(0) = u(1) = 0 exactly; interior rows discretize
     -u' - (eps^2/2) u'' + u = 1 to second order.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if m < 3:
-        raise ValueError("need at least 3 nodes")
+    if not eps > 0:
+        raise ConfigError(f"eps={eps!r} must be > 0, e.g. 0.1")
+    if not m >= 3:
+        raise ConfigError(f"m={m!r} nodes are too few; pass at least 3, e.g. 201")
     xs = np.linspace(0.0, 1.0, m)
     dx = xs[1] - xs[0]
     k = m - 2  # interior unknowns; Dirichlet values are imposed exactly

@@ -55,16 +55,15 @@ def classify_by_cone_rules(spec: ProcessSpec, domain: Domain, x) -> str:
     return "none-applicable"
 
 
-def probe_regularity(spec: ProcessSpec, domain: Domain, x, windows=DEFAULT_WINDOWS,
-                     n=2000, h=None, rng=0) -> RegularityReport:
-    """Estimate immediate-exit probabilities from x over shrinking windows.
+def _probe(spec, domain, points, windows, n, h, rng):
+    """One report per row of the (k, d) ``points``, from one batch.
 
-    All windows are evaluated on the same n trajectories, simulated once to
-    the largest window.  Classification is decided at the smallest window:
-    regular needs p >= 1 - 3 se, irregular needs p <= 3 se, anything else is
-    reported as inconclusive rather than silently assigned.
+    The n paths are run once, to the largest window; the k starts share the
+    noise of each path, and one start runs the engine's single-start code.
+    Each start is classified at the smallest window: regular needs
+    p >= 1 - 3 se, irregular needs p <= 3 se, anything else is reported as
+    inconclusive rather than silently assigned.
     """
-    x = np.atleast_1d(np.asarray(x, float))
     try:
         windows = sorted(windows, reverse=True)
         ok = windows and all(np.isfinite(as_float(w)) for w in windows) and windows[-1] > 0
@@ -79,43 +78,62 @@ def probe_regularity(spec: ProcessSpec, domain: Domain, x, windows=DEFAULT_WINDO
     if h > windows[-1] / 10.0:
         raise StepTooCoarse(f"h={h} too coarse for window {windows[-1]}; need h <= window/10")
     seed = effective_seed(rng)
-    res = run_batch(spec, domain, x, h, windows[0], n, seed)
-    ests = [_proportion(res.zeta <= w + 1e-12, seed, res.truncated) for w in windows]
-    p, se = ests[-1].mean, ests[-1].std_error
-    cls = ("regular" if p >= 1.0 - 3.0 * se else "irregular" if p <= 3.0 * se
-           else "inconclusive")
-    probs = [(w, e.mean, e.std_error) for w, e in zip(windows, ests)]
-    return RegularityReport(x, probs, "none-applicable", cls)
+    res = run_batch(spec, domain, points, h, windows[0], n, seed)
+    zeta, truncated = res.zeta.reshape(n, -1), res.truncated.reshape(n, -1)
+    reports = []
+    for j, x in enumerate(points):
+        ests = [_proportion(zeta[:, j] <= w + 1e-12, seed, truncated[:, j]) for w in windows]
+        p, se = ests[-1].mean, ests[-1].std_error
+        cls = ("regular" if p >= 1.0 - 3.0 * se else "irregular" if p <= 3.0 * se
+               else "inconclusive")
+        probs = [(w, e.mean, e.std_error) for w, e in zip(windows, ests)]
+        reports.append(RegularityReport(x, probs, "none-applicable", cls))
+    return reports
+
+
+def probe_regularity(spec: ProcessSpec, domain: Domain, x, windows=DEFAULT_WINDOWS,
+                     n=2000, h=None, rng=0) -> RegularityReport:
+    """Immediate-exit probabilities from x over shrinking windows, on one set of n paths."""
+    x = np.atleast_1d(np.asarray(x, float))
+    return _probe(spec, domain, x[None], windows, n, h, rng)[0]
+
+
+def _classify(spec, domain, points, windows, n, h, rng):
+    """Reports for the (k, d) ``points``: cone rules point by point, then one probe of the rest."""
+    rules = []
+    for x in points:
+        try:
+            rules.append(classify_by_cone_rules(spec, domain, x))
+        except NoConeData:
+            rules.append("none-applicable")
+    left = [i for i, rule in enumerate(rules) if rule == "none-applicable"]
+    probed = iter(_probe(spec, domain, points[left], windows, n, h, rng) if left else [])
+    return [next(probed) if rule == "none-applicable" else RegularityReport(x, [], rule, "regular")
+            for x, rule in zip(points, rules)]
 
 
 def classify_point(spec, domain, x, windows=DEFAULT_WINDOWS, n=2000, h=None,
                    rng=0) -> RegularityReport:
-    """Cone rules first; fall back to Monte Carlo probing."""
-    try:
-        rule = classify_by_cone_rules(spec, domain, x)
-    except NoConeData:
-        rule = "none-applicable"
-    if rule != "none-applicable":
-        return RegularityReport(np.atleast_1d(np.asarray(x, float)), [], rule, "regular")
-    return probe_regularity(spec, domain, x, windows, n, h, rng)
+    """Cone rules first; fall back to Monte Carlo probing (:func:`probe_regularity`'s bits)."""
+    x = np.atleast_1d(np.asarray(x, float))
+    return _classify(spec, domain, x[None], windows, n, h, rng)[0]
 
 
 def classify_boundary(spec: ProcessSpec, domain: Domain, n_points, windows=DEFAULT_WINDOWS,
                       n=2000, h=None, rng=0):
     """Classify sampled boundary points; returns (reports, partition).
 
-    The partition maps "regular" / "irregular" / "inconclusive" to lists of
-    report indices; inconclusive points are surfaced, never assigned.
+    Every point the cone rules leave open is probed in one batch, the points
+    sharing one path set under one seed derived from ``rng``.  The partition
+    maps "regular" / "irregular" / "inconclusive" to lists of report
+    indices; inconclusive points are surfaced, never assigned.
     """
     stream = as_stream(rng)
-    pts = domain.sample_boundary(n_points, stream.generator())
-    reports = []
-    partition = {"regular": [], "irregular": [], "inconclusive": []}
-    for i, x in enumerate(pts):
-        rep = classify_point(spec, domain, x, windows, n, h,
-                             rng=derive_seed(stream.seed, "probe", i, stream.stream_id))
-        reports.append(rep)
-        partition[rep.classification].append(i)
+    pts = np.asarray(domain.sample_boundary(n_points, stream.generator()), float)
+    reports = _classify(spec, domain, pts, windows, n, h,
+                        derive_seed(stream.seed, "probe", stream.stream_id))
+    partition = {c: [i for i, rep in enumerate(reports) if rep.classification == c]
+                 for c in ("regular", "irregular", "inconclusive")}
     return reports, partition
 
 

@@ -65,6 +65,27 @@ def test_regularity_scan_partition(tmp_path):
     assert '"irregular": 1' in text and '"regular": 1' in text
 
 
+def test_probed_regularity_scan_reproducible_across_workers_and_reruns(tmp_path):
+    # drift (0.5, 0) and alpha = 0.5 on the unit disk: the cone rules settle
+    # the points the drift leaves through and leave the rest to one batch
+    cfg = {"experiment": "regularity-scan",
+           "params": {"spec": {"drift": {"name": "constant", "velocity": [0.5, 0.0]},
+                               "noise": {"kind": "stable", "alpha": 0.5, "sigma": 1.0}, "d": 2},
+                      "domain": {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                      "n_points": 8, "windows": [0.01, 0.001]},
+           "mc": {"n": 300, "h": 1e-5, "seed": 4}, "output": {"path": "r.csv"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    outs = [tmp_path / "w1", tmp_path / "w2", tmp_path / "again"]
+    for out, workers in zip(outs, ("1", "2", "1")):
+        assert main(["--config", str(cfg_path), "--out", str(out), "--workers", workers]) == 0
+    b1 = (outs[0] / "r.csv").read_bytes()
+    assert b1 == (outs[1] / "r.csv").read_bytes() == (outs[2] / "r.csv").read_bytes()
+    _, rows = _read_csv(outs[0] / "r.csv")
+    rules = {row[-2] for row in rows[1:]}
+    assert "A3" in rules and "none-applicable" in rules
+
+
 def test_regularity_scan_unknown_noise_is_config_error(tmp_path, capsys):
     cfg = {"experiment": "regularity-scan",
            "params": {"spec": {"drift": {"name": "constant", "velocity": [1.0]},

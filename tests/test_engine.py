@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fkexit import engine, levy
-from fkexit.engine import CHUNK_SIZE, STOP_RULES, run_batch, run_single
+from fkexit.engine import CHUNK_SIZE, STOP_RULES, run_batch
 from fkexit.errors import ConfigError, DimensionMismatch, InvalidStart, InvalidStep
 from fkexit.feynman_kac import (EXIT_RULES, ROUTES, DirichletProblem, estimate_discounted_exit,
                                 estimate_v, estimate_v_nonstationary,
@@ -65,8 +65,6 @@ def test_non_positive_or_non_finite_step_raises(h):
         with pytest.raises(InvalidStep, match="finite positive"):
             run_batch(spec, Interval(0, 1), [0.5], h, 1.0, 10, 1)
         with pytest.raises(InvalidStep, match="finite positive"):
-            run_single(spec, Interval(0, 1), [0.5], h, 1.0, RngStream(1))
-        with pytest.raises(InvalidStep, match="finite positive"):
             simulate_path(spec, [0.5], h, 1.0, RngStream(1))
         for call in estimate_calls(spec, h, 10):
             with pytest.raises(InvalidStep, match="finite positive"):
@@ -111,25 +109,12 @@ def test_seed_not_an_integer_raises(seed):
             call()
 
 
-def test_run_single_takes_an_int_seed_as_its_stream():
-    runs = [run_single(SPEC_BALL, Ball([0.0, 0.0], 1.0), [0.1, 0.2], 1e-3, 5.0, stream)
-            for stream in (5, np.int64(5), RngStream(5, 0))]
-    for res in runs[1:]:
-        for f in EXIT_FIELDS + ("cost",):
-            assert getattr(res, f).tobytes() == getattr(runs[0], f).tobytes(), f
-    for bad in ("5", 1.5, None, True):
-        with pytest.raises(ConfigError, match="must be an integer or an RngStream, e.g. 7"):
-            run_single(SPEC_BROWN, Interval(0, 1), [0.5], 1e-3, 1.0, bad)
-
-
 @settings(max_examples=60, deadline=None)
 @given(BAD_STEPS)
 def test_non_positive_or_non_finite_horizon_raises(horizon):
     for spec in (SPEC_BROWN, SPEC_DRIFT):
         with pytest.raises(InvalidStep, match="horizon"):
             run_batch(spec, Interval(0, 1), [0.5], 1e-3, horizon, 10, 1)
-        with pytest.raises(InvalidStep, match="horizon"):
-            run_single(spec, Interval(0, 1), [0.5], 1e-3, horizon, RngStream(1))
         for x0 in ([0.5], [2.0]):
             with pytest.raises(InvalidStep, match="horizon"):
                 estimate_v(PROB01, spec, x0, 1e-3, 10, 1, horizon=horizon)
@@ -143,8 +128,6 @@ def test_unknown_stop_rule_raises(stop):
     for spec in (SPEC_BROWN, SPEC_DRIFT):
         with pytest.raises(ConfigError, match="stopping rule"):
             run_batch(spec, Interval(0, 1), [0.5], 1e-3, 1.0, 10, 1, stop=stop)
-        with pytest.raises(ConfigError, match="stopping rule"):
-            run_single(spec, Interval(0, 1), [0.5], 1e-3, 1.0, RngStream(1), stop=stop)
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,8 +155,6 @@ def test_non_finite_start_raises(bad):
     for spec in (SPEC_BROWN, SPEC_DRIFT):
         with pytest.raises(InvalidStart, match="finite"):
             run_batch(spec, Interval(0, 1), [bad], 1e-3, 1.0, 10, 1)
-        with pytest.raises(InvalidStart, match="finite"):
-            run_single(spec, Interval(0, 1), [bad], 1e-3, 1.0, RngStream(1))
         for call in (lambda: simulate_path(spec, [bad], 1e-3, 1.0, RngStream(1)),
                      lambda: estimate_v(PROB01, spec, [bad], 1e-3, 10, 1),
                      lambda: estimate_discounted_exit(PROB01, spec, [bad], 1e-3, 10, 1),
@@ -193,7 +174,6 @@ def test_dimension_mismatch_raises(d_spec, d_domain, d_start):
     for noise in (BrownianNoise(1.0), NoNoise()):
         spec = ProcessSpec(ZeroDrift(d_spec), noise, d_spec)
         for call in (lambda: run_batch(spec, box, x0, 1e-3, 1.0, 10, 1),
-                     lambda: run_single(spec, box, x0, 1e-3, 1.0, RngStream(1)),
                      lambda: estimate_v(prob, spec, x0, 1e-3, 10, 1),
                      lambda: estimate_discounted_exit(prob, spec, x0, 1e-3, 10, 1)):
             with pytest.raises(DimensionMismatch):
@@ -248,14 +228,17 @@ def test_block_schedule(na, n_steps):
 
 
 @pytest.mark.parametrize("spec,domain,x0", [
-    (SPEC_BROWN, Interval(0, 1), [0.5]),
-    (ProcessSpec(AffineDrift([[-3.0]], [2.0]), BrownianNoise(1.0), 1), Interval(0, 1), [0.5]),
+    (ProcessSpec(ConstantDrift([1.0, 0.0]), BrownianNoise(1.0), 2), Ball([0.0, 0.0], 1.0),
+     [0.0, 0.0]),
+    (ProcessSpec(AffineDrift(-3.0 * np.eye(2), [2.0, 0.0]), BrownianNoise(1.0), 2),
+     Ball([0.0, 0.0], 1.0), [0.0, 0.0]),
     (SPEC_BALL, Ball([0.0, 0.0], 1.0), [0.0, 0.0]),
 ], ids=["brownian", "affine-drift", "stable"])
 def test_late_exit_single_path_matches_skeleton(spec, domain, x0, monkeypatch):
-    # exits after block 5 of the schedule: the engine's knots over six blocks
-    # of growing length are the skeleton's, bit for bit
-    h, horizon = 1e-4, 5.0
+    # exits after block 5 of the schedule: the knots of a one-path batch over
+    # six blocks of growing length are the skeleton's, bit for bit (no
+    # sphere face is bridged, so nothing else draws from the stream)
+    h, horizon = 1e-4, 1.0
     knots = []
 
     def recording_block(*args):
@@ -264,11 +247,11 @@ def test_late_exit_single_path_matches_skeleton(spec, domain, x0, monkeypatch):
         return X, jump
 
     monkeypatch.setattr(engine, "euler_block", recording_block)
-    five_blocks = sum(block_steps(k, 1, 50_000) for k in range(5))  # 496
-    for sid in range(5):
+    five_blocks = sum(block_steps(k, 1, 10_000) for k in range(5))  # 496
+    for seed in range(800, 805):
         knots.clear()
-        res = run_single(spec, domain, x0, h, horizon, RngStream(80, sid))
-        path = simulate_path(spec, x0, h, horizon, RngStream(80, sid))
+        res = run_batch(spec, domain, x0, h, horizon, 1, seed)
+        path = simulate_path(spec, x0, h, horizon, RngStream(seed, 0))
         built = np.concatenate(knots)
         assert res.steps[0] > five_blocks and len(knots) > 5
         np.testing.assert_array_equal(built, path.points[1:len(built) + 1])
@@ -407,16 +390,14 @@ def test_start_outside_the_closure_exits_at_once_on_every_route(route, stop, mon
     spec = OUTSIDE_SPECS[route]
     drawn = []
     monkeypatch.setattr(engine, "_run_chunk", lambda *a, **k: drawn.append(a))
-    runs = [run_batch(spec, Interval(0, 1), [1.5], 1e-3, 5.0, 20, 3, lam=1.0,
-                      cost_fn=SpatialCost(Constant(2.0)), stop=stop),
-            run_single(spec, Interval(0, 1), [1.5], 1e-3, 5.0, RngStream(3, 0), stop=stop)]
+    res = run_batch(spec, Interval(0, 1), [1.5], 1e-3, 5.0, 20, 3, lam=1.0,
+                    cost_fn=SpatialCost(Constant(2.0)), stop=stop)
     assert not drawn
-    for res, n in zip(runs, (20, 1)):
-        for f in ("zeta", "zeta_hat", "steps", "cost"):
-            np.testing.assert_array_equal(getattr(res, f), np.zeros(n), err_msg=f)
-        np.testing.assert_array_equal(res.point, np.full((n, 1), 1.5))
-        np.testing.assert_array_equal(res.point_hat, np.full((n, 1), 1.5))
-        assert res.n == n and not (res.truncated.any() or res.via_jump.any())
+    for f in ("zeta", "zeta_hat", "steps", "cost"):
+        np.testing.assert_array_equal(getattr(res, f), np.zeros(20), err_msg=f)
+    np.testing.assert_array_equal(res.point, np.full((20, 1), 1.5))
+    np.testing.assert_array_equal(res.point_hat, np.full((20, 1), 1.5))
+    assert res.n == 20 and not (res.truncated.any() or res.via_jump.any())
 
 
 def test_bridged_blocked_discounted_exit_matches_closed_form():
@@ -551,7 +532,7 @@ def test_dyadic_draws_few_normals_per_path():
     n = 4096
     gen = CountingGenerator(RngStream(17, 0).generator())
     res = engine._run_chunk(SPEC_BROWN, Interval(0, 1), np.array([0.5]), 1e-4, 200_000, gen, n,
-                            0.0, None, "closure", True)
+                            0.0, None, "closure")
     assert not res.truncated.any()
     assert gen.normals / n < 25.0
 
@@ -562,7 +543,7 @@ def test_dyadic_whole_multiples_of_h_draw_fewer_normals():
     n = 4096
     gen = CountingGenerator(RngStream(17, 0).generator())
     res = engine._run_chunk(SPEC_BROWN, Interval(0, 1), np.array([0.5]), 1e-4, 200_000, gen, n,
-                            0.0, None, "closure", True)
+                            0.0, None, "closure")
     assert not res.truncated.any()
     assert gen.normals / n < 16.0
 
@@ -629,9 +610,11 @@ def test_closed_form_cost_blocked_kernel(spec, domain, x0, h):
 
 
 def test_closed_form_cost_loop_kernel():
-    for stream_id in range(3):
-        runs = [run_single(SPEC_BROWN_AFFINE, Interval(0, 1), [0.3], 1e-4, 20.0,
-                           RngStream(9, stream_id), lam=1.0, cost_fn=SpatialCost(fn))
+    # single Brownian paths on the 2-d ball, whose sphere face is not bridged
+    spec = ProcessSpec(AffineDrift(np.zeros((2, 2)), [1.0, 0.0]), BrownianNoise(1.0), 2)
+    for seed in range(90, 93):
+        runs = [run_batch(spec, Ball([0.0, 0.0], 1.0), [0.3, 0.0], 1e-4, 20.0, 1, seed,
+                          lam=1.0, cost_fn=SpatialCost(fn))
                 for fn in (Constant(1.0), Flat(1.0))]
         assert_same_exits_and_cost(*runs)
 
@@ -911,16 +894,17 @@ def test_engine_names_no_shape():
 
 
 def test_no_bridge_switch():
-    # run_batch runs the bridge test wherever it is exact and run_single never
-    # does, so no caller can leave a batch on the biased Euler exit
-    for entry in (run_batch, run_single):
-        assert "bridge" not in inspect.signature(entry).parameters, entry.__name__
+    # every run takes the bridge test wherever it is exact, so no caller can
+    # leave a batch on the biased Euler exit: no function takes a switch
+    assert "bridge" not in inspect.signature(run_batch).parameters
     found = []
     for path in sorted(pathlib.Path(engine.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.keyword) and node.arg == "bridge":
+            if isinstance(node, ast.keyword) and node.arg in ("bridge", "bridged"):
                 found.append((path.name, node.value.lineno))
-    assert not found, f"modules pass bridge= at (file, line) {found}"
+            elif isinstance(node, ast.arg) and node.arg in ("bridge", "bridged"):
+                found.append((path.name, node.lineno))
+    assert not found, f"modules pass or take a bridge switch at (file, line) {found}"
 
 
 # ---------------------------------------------------------------------------

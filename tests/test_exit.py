@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fkexit.engine import run_batch, run_single, segment_crossing
+from fkexit.engine import run_batch, segment_crossing
 from fkexit.errors import InvalidStart
-from fkexit.exit import exit_coincidence, exit_point_avoidance, sample_exit
+from fkexit.exit import exit_coincidence, exit_point_avoidance
 from fkexit.geometry import Ball, Box, Cylinder, Interval, parabolic_rect
 from fkexit.levy import (AffineDrift, BrownianNoise, ConstantDrift, NoNoise, ParabolicDrift,
                          ProcessSpec, StableNoise, ZeroDrift, block_steps, lift_time,
@@ -19,29 +19,28 @@ SPEC_DRIFT = ProcessSpec(ConstantDrift([1.0]), NoNoise(), 1)
 SPEC_PARAB = ProcessSpec(ParabolicDrift(), NoNoise(), 2)
 SPEC_BROWN = ProcessSpec(ConstantDrift([1.0]), BrownianNoise(1.0), 1)
 SPEC_BALL = ProcessSpec(ZeroDrift(2), StableNoise(1.5, 1.0), 2)
+# the engine bridges no sphere face, so a Brownian path on a 2-d ball draws
+# exactly as its skeleton does
+SPEC_BROWN_2D = ProcessSpec(ConstantDrift([1.0, 0.0]), BrownianNoise(1.0), 2)
 
 
 class TestSampleExit:
     def test_uniform_motion_exact(self):
-        rec = sample_exit(SPEC_DRIFT, Interval(0, 1), [0.25], 1e-3, 20.0, 1)
-        assert rec.zeta == 0.75
-        assert rec.exit_point[0] == pytest.approx(1.0, abs=1e-14)
-        assert not rec.via_jump and not rec.truncated
+        res = run_batch(SPEC_DRIFT, Interval(0, 1), [0.25], 1e-3, 20.0, 1, 1)
+        assert res.zeta[0] == 0.75
+        assert res.point[0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert not res.via_jump[0] and not res.truncated[0]
 
     def test_parabolic_exact(self):
-        rec = sample_exit(SPEC_PARAB, parabolic_rect(), [0.5, 0.5], 1e-3, 20.0, 1)
-        assert rec.zeta == pytest.approx(-0.5 + math.sqrt(0.75), abs=1e-12)
-        assert rec.exit_point[1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_invalid_start(self):
-        with pytest.raises(InvalidStart):
-            sample_exit(SPEC_DRIFT, Interval(0, 1), [2.0], 1e-3, 20.0, 1)
+        res = run_batch(SPEC_PARAB, parabolic_rect(), [0.5, 0.5], 1e-3, 20.0, 1, 1)
+        assert res.zeta[0] == pytest.approx(-0.5 + math.sqrt(0.75), abs=1e-12)
+        assert res.point[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_truncation(self):
         # drift away from the only exit it could reach within the horizon
         spec = ProcessSpec(ConstantDrift([0.0]), NoNoise(), 1)
-        rec = sample_exit(spec, Interval(0, 1), [0.5], 1e-3, 2.0, 1)
-        assert rec.truncated and rec.zeta == math.inf
+        res = run_batch(spec, Interval(0, 1), [0.5], 1e-3, 2.0, 1, 1)
+        assert res.truncated[0] and res.zeta[0] == math.inf
 
     def test_jump_fraction_from_ball_center(self):
         res = run_batch(SPEC_BALL, Ball([0, 0], 1.0), [0.0, 0.0], 1e-3, 20.0, 10_000, 123)
@@ -56,27 +55,27 @@ class TestSampleExit:
 
 class TestEngineMatchesPathOperators:
     def test_brownian_single_path(self):
-        # the engine consumes the stream exactly like simulate_path and its
-        # closed-form crossing equals the skeleton operator's
-        dom = Interval(0, 1)
-        for sid in range(10):
-            stream = RngStream(77, sid)
-            res = run_single(SPEC_BROWN, dom, [0.5], 1e-3, 5.0, stream)
-            path = simulate_path(SPEC_BROWN, [0.5], 1e-3, 5.0, stream)
+        # a one-path batch consumes the stream (seed, 0) exactly like
+        # simulate_path and its closed-form crossing equals the skeleton
+        # operator's
+        dom = Ball([0.0, 0.0], 1.0)
+        for seed in range(770, 780):
+            res = run_batch(SPEC_BROWN_2D, dom, [0.5, 0.0], 1e-3, 5.0, 1, seed)
+            path = simulate_path(SPEC_BROWN_2D, [0.5, 0.0], 1e-3, 5.0, RngStream(seed, 0))
             z_ref = exit_time(path, dom, "closure-hit")
             assert res.zeta[0] == pytest.approx(z_ref, abs=1e-12)
             assert np.allclose(res.point[0], exit_point(path, dom, "closure-hit"), atol=1e-12)
 
     def test_state_dependent_drift_single_path(self):
-        # b(x) = 2 - 3x is evaluated at each knot inside the engine's blocks;
-        # some paths exit after the schedule's first three blocks (16 + 32 + 64 steps)
-        spec = ProcessSpec(AffineDrift([[-3.0]], [2.0]), BrownianNoise(1.0), 1)
-        dom = Interval(0, 1)
+        # b(x) = (2 - 3 x1, -3 x2) is evaluated at each knot inside the engine's
+        # blocks; some paths exit after the schedule's first three blocks
+        # (16 + 32 + 64 steps)
+        spec = ProcessSpec(AffineDrift(-3.0 * np.eye(2), [2.0, 0.0]), BrownianNoise(1.0), 2)
+        dom = Ball([0.0, 0.0], 1.0)
         steps = []
-        for sid in range(10):
-            stream = RngStream(79, sid)
-            res = run_single(spec, dom, [0.5], 1e-3, 5.0, stream)
-            path = simulate_path(spec, [0.5], 1e-3, 5.0, stream)
+        for seed in range(790, 800):
+            res = run_batch(spec, dom, [0.5, 0.0], 1e-3, 5.0, 1, seed)
+            path = simulate_path(spec, [0.5, 0.0], 1e-3, 5.0, RngStream(seed, 0))
             assert res.zeta[0] == pytest.approx(exit_time(path, dom, "closure-hit"), abs=1e-12)
             assert np.allclose(res.point[0], exit_point(path, dom, "closure-hit"), atol=1e-12)
             steps.append(res.steps[0])
@@ -85,10 +84,9 @@ class TestEngineMatchesPathOperators:
     def test_stable_single_path_knot_semantics(self):
         # stable exits are recorded at knots; compare with the step-path view
         dom = Ball([0, 0], 1.0)
-        for sid in range(10):
-            stream = RngStream(78, sid)
-            res = run_single(SPEC_BALL, dom, [0.0, 0.0], 1e-3, 20.0, stream)
-            path = simulate_path(SPEC_BALL, [0.0, 0.0], 1e-3, 20.0, stream)
+        for seed in range(780, 790):
+            res = run_batch(SPEC_BALL, dom, [0.0, 0.0], 1e-3, 20.0, 1, seed)
+            path = simulate_path(SPEC_BALL, [0.0, 0.0], 1e-3, 20.0, RngStream(seed, 0))
             stepped = step_path(path.times, path.points)
             assert res.zeta[0] == pytest.approx(exit_time(stepped, dom, "closure-hit"), abs=1e-12)
 
@@ -128,7 +126,7 @@ def test_refinement_monotonicity():
 
 
 def test_exit_point_avoidance_rejects_start_outside():
-    # as exit_coincidence and sample_exit do; it used to estimate p = 1 here
+    # as exit_coincidence does; it used to estimate p = 1 here
     with pytest.raises(InvalidStart, match="outside the closed domain"):
         exit_point_avoidance(SPEC_BROWN, Interval(0, 1), [2.0], Interval(0.9, 2.0),
                              1e-3, 5.0, 100, 5)

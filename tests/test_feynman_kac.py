@@ -6,7 +6,7 @@ import pytest
 from fkexit.errors import DegenerateP, InvalidStart
 from fkexit.feynman_kac import (DirichletProblem, attainment_witness, estimate_discounted_exit,
                                 estimate_v, estimate_v_nonstationary,
-                                estimate_v_nonstationary_grid, evaluate_grid)
+                                estimate_v_nonstationary_grid)
 from fkexit.functions import Constant, GaussianBump, Zero
 from fkexit.geometry import Ball, Cylinder, Interval
 from fkexit.levy import (BrownianNoise, ConstantDrift, NoNoise, ProcessSpec, StableNoise,
@@ -135,14 +135,6 @@ class TestAttainmentWitness:
         prob = DirichletProblem(Interval(0, 1), Zero(), Zero(), 1.0)
         rep = attainment_witness(prob, SPEC0, [0.0], 1e-3, 200, 9)
         assert rep.is_witness
-
-
-def test_evaluate_grid_rows():
-    rows = evaluate_grid(PROB, SPEC0, [[0.0], [0.5], [1.0]], 1e-4, 10, 1)
-    assert len(rows) == 3
-    xs = [r[0][0] for r in rows]
-    assert xs == [0.0, 0.5, 1.0]
-    assert rows[0][1].mean == pytest.approx(1 - math.exp(-1), abs=1e-9)
 
 
 def test_value_continuous_away_from_curve():

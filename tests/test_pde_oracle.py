@@ -8,10 +8,10 @@ import reference_quadrature
 
 from fkexit.errors import ConfigError, CutoffTooTight
 from fkexit.feynman_kac import DirichletProblem
-from fkexit.functions import Constant, Zero, gauss_legendre
+from fkexit.functions import Constant, GaussianBump, Zero, gauss_legendre
 from fkexit.geometry import Ball, Cylinder, Interval
 from fkexit.levy import (BrownianNoise, ConstantDrift, NoNoise, ProcessSpec, StableNoise,
-                         ZeroDrift, sample_isotropic_stable)
+                         ZeroDrift, sample_isotropic_stable, sample_one_sided_stable)
 from fkexit.pde_oracle import (CompactPolyBump, GaussPolyBump, GridFunction, _TimeSlice,
                                _admissibility_lattice, _candidate_families, _default_slopes,
                                _family_values, _local_cluster, _radial_rule, _spectral_grid,
@@ -651,3 +651,26 @@ class TestCandidateSweep:
         ref_kwargs = {k: v for k, v in kwargs.items() if k != "mode"}
         ref = per_candidate_sweep(u, problem, spec, x, **ref_kwargs)
         assert {key: getattr(rep, key) for key in ref} == ref
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: closed_form_v_eps(0.0, 0.5), r"eps=0.0 must be > 0, e.g. 0.1"),
+    (lambda: closed_form_v_eps(math.nan, 0.5), r"eps=nan must be > 0"),
+    (lambda: closed_form_v_eps(0.1, [0.5, 1.5]), r"x=1.5 lies off \[0, 1\]; .* e.g. 0.5"),
+    (lambda: closed_form_v0(-0.1), r"x=-0.1 lies off \[0, 1\]"),
+    (lambda: closed_form_v0([0.2, math.nan]), r"x=nan lies off \[0, 1\]"),
+    (lambda: parabolic_exit_time([2.0, 0.5]),
+     r"outside the closed rectangle .* e.g. \[0.5, 0.5\]"),
+    (lambda: fd_solve_1d(-1.0, 101), r"eps=-1.0 must be > 0, e.g. 0.1"),
+    (lambda: fd_solve_1d(0.1, 2), r"m=2 nodes are too few; pass at least 3, e.g. 201"),
+    (lambda: GaussianBump([0.0], 0.0), r"width=0.0 must be a finite number > 0, e.g. 0.2"),
+    (lambda: GaussianBump([0.0], math.nan), r"width=nan must be"),
+    (lambda: sample_one_sided_stable(1.2, RngStream(0)),
+     r"alpha=1.2 must lie in \(0, 1\), e.g. 0.5"),
+    (lambda: sample_one_sided_stable(0.0, RngStream(0)), r"alpha=0.0 must lie in"),
+], ids=["v-eps-eps", "v-eps-nan-eps", "v-eps-x", "v0-x", "v0-nan-x", "parabolic-x", "fd-eps",
+        "fd-m", "bump-width", "bump-nan-width", "stable-alpha-high", "stable-alpha-zero"])
+def test_bad_argument_is_a_config_error(call, match):
+    # a ConfigError is a ValueError, so callers that catch ValueError still do
+    with pytest.raises(ConfigError, match=match):
+        call()

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from fkexit import regularity
 from fkexit.errors import ConfigError, InvalidStep, NoConeData, StepTooCoarse
 from fkexit.geometry import Ball, Interval, parabolic_rect
 from fkexit.levy import (BrownianNoise, ConstantDrift, NoNoise, ParabolicDrift,
@@ -118,6 +119,49 @@ class TestClassifyBoundary:
         rep = classify_point(SPEC_STABLE, Ball([0, 0], 1.0), [0.0, 1.0], rng=9)
         assert rep.analytic_rule == "A1" and rep.classification == "regular"
         assert rep.probe_probs == []
+
+
+SPEC_ALPHA_HALF_DRIFT = ProcessSpec(ConstantDrift([0.5, 0.0]), StableNoise(0.5, 1.0), 2)
+
+
+def counted_run_batch(monkeypatch):
+    """Wrap regularity.run_batch; returns the list of its calls' start arrays."""
+    calls = []
+    run_batch = regularity.run_batch
+
+    def counted(spec, domain, x0, *args, **kwargs):
+        calls.append(x0)
+        return run_batch(spec, domain, x0, *args, **kwargs)
+
+    monkeypatch.setattr(regularity, "run_batch", counted)
+    return calls
+
+
+class TestBatchedScan:
+    def test_open_points_share_one_batch(self, monkeypatch):
+        calls = counted_run_batch(monkeypatch)
+        reports, part = classify_boundary(SPEC_ALPHA_HALF_DRIFT, Ball([0, 0], 1.0), 16,
+                                          windows=(0.01, 0.001), n=200, h=1e-5, rng=3)
+        probed = [r for r in reports if r.analytic_rule == "none-applicable"]
+        assert len(calls) == 1 and len(calls[0]) == len(probed) > 1
+        assert all(len(r.probe_probs) == 2 for r in probed)
+        assert sum(len(v) for v in part.values()) == 16
+
+    def test_scan_the_cone_rules_settle_runs_nothing(self, monkeypatch):
+        calls = counted_run_batch(monkeypatch)
+        reports, part = classify_boundary(SPEC_STABLE, Ball([0, 0], 1.0), 16, rng=3)
+        assert calls == [] and len(part["regular"]) == 16
+        assert {r.analytic_rule for r in reports} == {"A1"}
+
+    def test_probe_checks_come_only_with_a_point_to_probe(self, monkeypatch):
+        # an h too coarse for the window is not looked at when the cone rules
+        # settle every point, and is rejected before any run when one is left
+        calls = counted_run_batch(monkeypatch)
+        classify_boundary(SPEC_STABLE, Ball([0, 0], 1.0), 4, windows=(1e-3,), h=1e-3)
+        with pytest.raises(StepTooCoarse):
+            classify_boundary(SPEC_ALPHA_HALF_DRIFT, Ball([0, 0], 1.0), 4, windows=(1e-3,),
+                              h=1e-3)
+        assert calls == []
 
 
 def test_reports_csv(tmp_path):
